@@ -4,14 +4,14 @@
 //! The Figure 10 all-pairs request corpus is driven through a freshly bound
 //! loopback server per iteration — requests encoded, framed, decoded,
 //! composed by the shared-session backend, and the replies decoded again —
-//! with one client connection per server worker. Throughput should rise
+//! with one client connection per server CPU worker. Throughput should rise
 //! with worker count up to the machine's core count; the wire round trip is
 //! the measured overhead over `fig10`'s in-process batches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mapcomp_bench::{
     concurrent_corpus, connection_sweep_over_loopback, service_batch_over_loopback,
-    service_workers, Scale, SweepEngine, SWEEP_CPU_WORKERS,
+    service_workers, Scale, SWEEP_CPU_WORKERS,
 };
 
 fn bench_service_throughput(c: &mut Criterion) {
@@ -58,7 +58,6 @@ fn bench_connection_sweep(c: &mut Criterion) {
                         requests,
                         connections,
                         SWEEP_CPU_WORKERS,
-                        SweepEngine::Event,
                     );
                     assert_eq!(point.failures, 0, "sweep request failed");
                     point.requests

@@ -15,8 +15,8 @@ use mapcomp_bench::persistence_document;
 use mapcomp_catalog::SessionConfig;
 use mapcomp_compose::Registry;
 use mapcomp_service::{
-    sidecar_path, Client, EventServer, Follower, LocalService, MapcompService as _, PersistMode,
-    PersistPolicy, Request, Response,
+    sidecar_path, Client, EventServer, Follower, LocalService, MapcompService as _, PersistPolicy,
+    Request, Response,
 };
 
 const CHAIN: usize = 12;
@@ -38,11 +38,7 @@ fn cleanup(file: &std::path::Path) {
 }
 
 fn open_leader(file: &std::path::Path) -> LocalService {
-    let policy = PersistPolicy {
-        mode: PersistMode::Incremental,
-        compact_appends: None,
-        compact_bytes: None,
-    };
+    let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
     let service = LocalService::open_with_policy(
         file,
         Registry::standard(),

@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mapcomp_bench::{chain_fixture, chain_lengths, edited_variant, Scale};
-use mapcomp_catalog::Session;
+use mapcomp_catalog::SharedSession;
 
 fn bench_chain_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8_chain_cache");
@@ -19,15 +19,15 @@ fn bench_chain_cache(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
 
     for (index, edits) in chain_lengths(Scale::Quick).into_iter().enumerate() {
-        let (mut session, path) = chain_fixture(edits, 9000 + index as u64);
+        let (session, path) = chain_fixture(edits, 9000 + index as u64);
         if path.len() < 2 {
             continue;
         }
-        let catalog = session.catalog().clone();
+        let catalog = session.catalog().snapshot();
 
         group.bench_with_input(BenchmarkId::new("cold", path.len()), &path, |b, path| {
             b.iter(|| {
-                let mut cold = Session::new(catalog.clone());
+                let cold = SharedSession::new(catalog.clone(), 1);
                 cold.compose_names(path).expect("composes")
             });
         });

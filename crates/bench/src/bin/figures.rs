@@ -592,23 +592,20 @@ fn figure_11(scale: Scale) -> BenchDoc {
         ("overhead_pct", BenchValue::F64(overhead_pct)),
     ]);
 
-    // Connection sweep: concurrent connections vs. tail latency, event
-    // engine against the threaded engine's concurrency ceiling. The event
+    // Connection sweep: concurrent connections vs. tail latency. The event
     // loop must hold every swept connection count open with a fixed
-    // 4-thread CPU pool; the threaded engine pins at connections ==
-    // workers, so it contributes a single comparison point.
+    // 4-thread CPU pool.
     println!(
         "\nconnection sweep: concurrent connections vs. compose tail latency \
          ({} CPU workers)",
         mapcomp_bench::SWEEP_CPU_WORKERS
     );
     let sweep = connection_sweep_experiment(scale);
-    let widths = vec![9, 12, 9, 10, 9, 9, 9];
+    let widths = vec![12, 9, 10, 9, 9, 9];
     println!(
         "{}",
         format_row(
             &[
-                "engine".to_string(),
                 "connections".to_string(),
                 "requests".to_string(),
                 "time (ms)".to_string(),
@@ -625,7 +622,6 @@ fn figure_11(scale: Scale) -> BenchDoc {
             "{}",
             format_row(
                 &[
-                    point.engine.label().to_string(),
                     point.connections.to_string(),
                     point.requests.to_string(),
                     format!("{:.2}", point.elapsed.as_secs_f64() * 1000.0),
@@ -637,7 +633,9 @@ fn figure_11(scale: Scale) -> BenchDoc {
             )
         );
         doc.push_point(vec![
-            ("engine", BenchValue::Str(point.engine.label().to_string())),
+            // The label dates from when two engines were swept; it stays so
+            // the committed trajectory's stable fields remain comparable.
+            ("engine", BenchValue::Str("event".to_string())),
             ("connections", BenchValue::U64(point.connections as u64)),
             ("cpu_workers", BenchValue::U64(point.cpu_workers as u64)),
             ("requests", BenchValue::U64(point.requests as u64)),
@@ -656,7 +654,7 @@ fn figure_12(scale: Scale) -> BenchDoc {
     );
     let mut doc = BenchDoc::new("fig12", scale);
     let points = persistence_experiment(scale);
-    let widths = vec![9, 12, 14, 11, 13, 10];
+    let widths = vec![9, 12, 14, 11, 10];
     println!(
         "{}",
         format_row(
@@ -665,7 +663,6 @@ fn figure_12(scale: Scale) -> BenchDoc {
                 "incr B/req".to_string(),
                 "rewrite B/req".to_string(),
                 "incr (ms)".to_string(),
-                "rewrite (ms)".to_string(),
                 "recovered".to_string(),
             ],
             &widths
@@ -681,7 +678,6 @@ fn figure_12(scale: Scale) -> BenchDoc {
                     point.incremental_bytes.to_string(),
                     point.rewrite_bytes.to_string(),
                     format!("{:.3}", point.incremental_time.as_secs_f64() * 1000.0),
-                    format!("{:.3}", point.rewrite_time.as_secs_f64() * 1000.0),
                     "yes".to_string(),
                 ],
                 &widths
@@ -692,7 +688,6 @@ fn figure_12(scale: Scale) -> BenchDoc {
             ("incremental_bytes", BenchValue::U64(point.incremental_bytes)),
             ("rewrite_bytes", BenchValue::U64(point.rewrite_bytes)),
             ("incremental_ms", BenchValue::F64(point.incremental_time.as_secs_f64() * 1000.0)),
-            ("rewrite_ms", BenchValue::F64(point.rewrite_time.as_secs_f64() * 1000.0)),
             ("recovered", BenchValue::Bool(point.recovered_identical)),
         ]);
     }

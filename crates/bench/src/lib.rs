@@ -435,7 +435,7 @@ pub fn chain_lengths(scale: Scale) -> Vec<usize> {
 /// Build an evolution-derived catalog chain of (up to) `edits` links and
 /// return the replayed session plus the chain's mapping names. Exposed for
 /// the criterion bench, which needs the same setup.
-pub fn chain_fixture(edits: usize, seed: u64) -> (mapcomp_catalog::Session, Vec<String>) {
+pub fn chain_fixture(edits: usize, seed: u64) -> (mapcomp_catalog::SharedSession, Vec<String>) {
     let scenario = ScenarioConfig {
         schema_size: 8,
         edits,
@@ -454,7 +454,7 @@ pub fn chain_fixture(edits: usize, seed: u64) -> (mapcomp_catalog::Session, Vec<
 /// trivially-true constraint over a relation of its source schema, so the
 /// content hash changes while the mapping stays semantically equivalent.
 pub fn edited_variant(
-    session: &mapcomp_catalog::Session,
+    session: &mapcomp_catalog::SharedSession,
     mapping: &str,
 ) -> mapcomp_algebra::ConstraintSet {
     let entry = session.catalog().mapping(mapping).expect("mapping exists");
@@ -475,13 +475,13 @@ pub fn chain_cache_experiment(scale: Scale, base_seed: u64) -> Vec<ChainCachePoi
         .into_iter()
         .enumerate()
         .filter_map(|(index, edits)| {
-            let (mut session, path) = chain_fixture(edits, base_seed + index as u64);
+            let (session, path) = chain_fixture(edits, base_seed + index as u64);
             if path.len() < 2 {
                 return None;
             }
             // Cold: a fresh session over the same catalog.
-            let catalog = session.catalog().clone();
-            let mut cold_session = mapcomp_catalog::Session::new(catalog);
+            let catalog = session.catalog().snapshot();
+            let cold_session = mapcomp_catalog::SharedSession::new(catalog, 1);
             let started = std::time::Instant::now();
             let cold = cold_session.compose_names(&path).expect("cold chain composes");
             let cold_time = started.elapsed();
@@ -821,7 +821,7 @@ pub fn concurrent_sessions_experiment(scale: Scale) -> Vec<ConcurrentSessionsPoi
 /// count, one client connection per worker, cold cache each time.
 #[derive(Debug, Clone)]
 pub struct ServiceThroughputPoint {
-    /// Server connection-worker threads (and concurrent client connections).
+    /// CPU worker threads of the server (and concurrent client connections).
     pub workers: usize,
     /// Requests issued across all clients.
     pub requests: usize,
@@ -846,14 +846,14 @@ impl ServiceThroughputPoint {
     }
 }
 
-/// Server worker counts measured per scale (one client connection per
+/// Server-side worker counts measured per scale (one client connection per
 /// worker). Mirrors [`concurrent_workers`], including the smoke tier's
 /// deliberate oversubscription.
 pub fn service_workers(scale: Scale) -> Vec<usize> {
     concurrent_workers(scale)
 }
 
-/// Serve `catalog` on an ephemeral loopback port with `workers` connection
+/// Serve `catalog` on an ephemeral loopback port with `workers` CPU
 /// workers, fan `requests` across `workers` concurrent client connections
 /// (strided, one `compose-path` call per request), shut the server down, and
 /// return the per-request chain documents in request order plus the
@@ -864,10 +864,10 @@ pub fn service_batch_over_loopback(
     requests: &[(String, String)],
     workers: usize,
 ) -> (Vec<(String, bool)>, Duration) {
-    use mapcomp_service::{Client, LocalService, Request, Response, Server};
+    use mapcomp_service::{Client, EventServer, LocalService, Request, Response};
 
     let service = LocalService::new(catalog.clone(), workers);
-    let server = Server::bind("127.0.0.1:0").expect("bind a loopback port");
+    let server = EventServer::bind("127.0.0.1:0").expect("bind a loopback port");
     let addr = server.local_addr().expect("bound address").to_string();
     let clients = workers.max(1);
     let mut outcomes: Vec<(usize, String, bool)> = Vec::with_capacity(requests.len());
@@ -946,39 +946,15 @@ pub fn service_throughput_experiment(scale: Scale) -> Vec<ServiceThroughputPoint
 // Figure 11 connection sweep: concurrent connections vs. tail latency
 // ---------------------------------------------------------------------------
 
-/// Which TCP front end a connection-sweep point exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepEngine {
-    /// The readiness-driven event loop (`EventServer`): one loop thread
-    /// multiplexes every connection, a fixed CPU pool composes.
-    Event,
-    /// The thread-per-connection server (`Server`): concurrency pins at
-    /// the worker count, so its sweep point runs at `connections ==
-    /// cpu_workers`.
-    Threaded,
-}
-
-impl SweepEngine {
-    /// Stable label recorded in the trajectory.
-    pub fn label(self) -> &'static str {
-        match self {
-            SweepEngine::Event => "event",
-            SweepEngine::Threaded => "threaded",
-        }
-    }
-}
-
 /// One point of the Figure 11 connection sweep: `connections` concurrent
 /// client connections held open against a server with `cpu_workers`
 /// compute threads, with per-request round-trip latencies sampled over
 /// the Figure 10 corpus.
 #[derive(Debug, Clone)]
 pub struct ConnectionSweepPoint {
-    /// Which front end served the point.
-    pub engine: SweepEngine,
     /// Concurrent client connections held open for the whole point.
     pub connections: usize,
-    /// Server CPU worker threads.
+    /// CPU worker threads of the server.
     pub cpu_workers: usize,
     /// Requests issued (the concurrency-proof pings plus the composes).
     pub requests: usize,
@@ -1133,52 +1109,34 @@ fn drive_connection_sweep(
     (connections + total, failures, latencies)
 }
 
-/// Measure one connection-sweep point against a freshly bound server of
-/// the requested engine, cold cache.
+/// Measure one connection-sweep point against a freshly bound server,
+/// cold cache.
 pub fn connection_sweep_over_loopback(
     catalog: &mapcomp_catalog::Catalog,
     requests: &[(String, String)],
     connections: usize,
     cpu_workers: usize,
-    engine: SweepEngine,
 ) -> ConnectionSweepPoint {
-    use mapcomp_service::{Client, EventServer, LocalService, Request, Server};
+    use mapcomp_service::{Client, EventServer, LocalService, Request};
 
     let service = LocalService::new(catalog.clone(), cpu_workers);
     let mut outcome = None;
     let started = std::time::Instant::now();
-    match engine {
-        SweepEngine::Event => {
-            let mut server = EventServer::bind("127.0.0.1:0").expect("bind a loopback port");
-            // The sweep intentionally floods every connection at once;
-            // raise the shed threshold so backpressure does not distort
-            // the latency sample.
-            server.set_queue_limit(connections * 2);
-            let addr = server.local_addr().expect("bound address").to_string();
-            std::thread::scope(|scope| {
-                let (server, service) = (&server, &service);
-                scope.spawn(move || server.run(service, cpu_workers).expect("server run"));
-                outcome = Some(drive_connection_sweep(&addr, requests, connections));
-                let closer = Client::connect(&addr).expect("connect for shutdown");
-                closer.call(Request::Shutdown).expect("shutdown accepted");
-            });
-        }
-        SweepEngine::Threaded => {
-            let server = Server::bind("127.0.0.1:0").expect("bind a loopback port");
-            let addr = server.local_addr().expect("bound address").to_string();
-            std::thread::scope(|scope| {
-                let (server, service) = (&server, &service);
-                scope.spawn(move || server.run(service, cpu_workers).expect("server run"));
-                outcome = Some(drive_connection_sweep(&addr, requests, connections));
-                let closer = Client::connect(&addr).expect("connect for shutdown");
-                closer.call(Request::Shutdown).expect("shutdown accepted");
-            });
-        }
-    }
+    let mut server = EventServer::bind("127.0.0.1:0").expect("bind a loopback port");
+    // The sweep intentionally floods every connection at once; raise the
+    // shed threshold so backpressure does not distort the latency sample.
+    server.set_queue_limit(connections * 2);
+    let addr = server.local_addr().expect("bound address").to_string();
+    std::thread::scope(|scope| {
+        let (server, service) = (&server, &service);
+        scope.spawn(move || server.run(service, cpu_workers).expect("server run"));
+        outcome = Some(drive_connection_sweep(&addr, requests, connections));
+        let closer = Client::connect(&addr).expect("connect for shutdown");
+        closer.call(Request::Shutdown).expect("shutdown accepted");
+    });
     let elapsed = started.elapsed();
     let (total, failures, latencies) = outcome.expect("sweep driver ran");
     ConnectionSweepPoint {
-        engine,
         connections,
         cpu_workers,
         requests: total,
@@ -1190,60 +1148,41 @@ pub fn connection_sweep_over_loopback(
 }
 
 /// Run the Figure 11 connection sweep: the event engine at each swept
-/// connection count, plus the threaded engine's comparison point at its
-/// concurrency ceiling (`connections == cpu_workers` — beyond that its
-/// extra connections just queue).
+/// connection count.
 pub fn connection_sweep_experiment(scale: Scale) -> Vec<ConnectionSweepPoint> {
     let (catalog, requests) = concurrent_corpus(scale);
-    let mut points: Vec<ConnectionSweepPoint> = sweep_connection_counts(scale)
+    sweep_connection_counts(scale)
         .into_iter()
         .map(|connections| {
-            connection_sweep_over_loopback(
-                &catalog,
-                &requests,
-                connections,
-                SWEEP_CPU_WORKERS,
-                SweepEngine::Event,
-            )
+            connection_sweep_over_loopback(&catalog, &requests, connections, SWEEP_CPU_WORKERS)
         })
-        .collect();
-    points.push(connection_sweep_over_loopback(
-        &catalog,
-        &requests,
-        SWEEP_CPU_WORKERS,
-        SWEEP_CPU_WORKERS,
-        SweepEngine::Threaded,
-    ));
-    points
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
-// Figure 12 (new experiment): incremental vs. full-rewrite persistence
+// Figure 12 (new experiment): incremental persistence vs. a full rewrite
 // ---------------------------------------------------------------------------
 
 /// One point of the Figure 12 persistence experiment: the durability cost
-/// of a state-changing service request at a given catalog size, under the
-/// incremental append-only path and under the legacy full-rewrite path
-/// (`PersistMode::FullRewrite`). Bytes written per request are
-/// deterministic, so the flat-vs-linear claim is assertable exactly; wall
-/// times ride along for the report.
+/// of a state-changing service request at a given catalog size, as the
+/// bytes the incremental append path writes, against the bytes one
+/// compaction (a full rewrite of document + sidecar) would write after the
+/// same request. Bytes written per request are deterministic, so the
+/// flat-vs-linear claim is assertable exactly; the wall time rides along
+/// for the report.
 #[derive(Debug, Clone)]
 pub struct PersistencePoint {
     /// Mappings in the catalog.
     pub mappings: usize,
-    /// Mean bytes written to disk per state-changing request, incremental
-    /// mode (sidecar append only).
+    /// Mean bytes appended to the sidecar per state-changing request.
     pub incremental_bytes: u64,
-    /// Mean bytes written per state-changing request, full-rewrite mode
-    /// (whole document + sidecar).
+    /// Mean bytes one compaction would write after each request (whole
+    /// document + snapshot sidecar): the full-rewrite baseline.
     pub rewrite_bytes: u64,
-    /// Mean wall-clock time per request, incremental mode.
+    /// Mean wall-clock time per request.
     pub incremental_time: Duration,
-    /// Mean wall-clock time per request, full-rewrite mode.
-    pub rewrite_time: Duration,
-    /// Did a kill (drop without shutdown) and restart replay both modes to
-    /// the same catalog document and cumulative cache statistics as before
-    /// the kill?
+    /// Did a kill (drop without shutdown) and restart replay to the same
+    /// catalog document and cumulative cache statistics as before the kill?
     pub recovered_identical: bool,
 }
 
@@ -1275,24 +1214,39 @@ pub fn persistence_document(mappings: usize) -> String {
 /// State-changing requests per measured point.
 const PERSISTENCE_REQUESTS: usize = 4;
 
-fn persistence_mode_run(
-    mappings: usize,
-    mode: mapcomp_service::PersistMode,
-    tag: &str,
-) -> (u64, Duration, bool) {
+/// The bytes `LocalService::compact` would write for the service's current
+/// state: the catalog document plus a snapshot sidecar (generation header
+/// for the next generation, catalog versions, memo cache).
+fn compaction_bytes(
+    service: &mapcomp_service::LocalService,
+    sidecar: &mapcomp_catalog::SidecarWriter,
+) -> u64 {
+    let generation = sidecar.load_full().next_position().generation + 1;
+    let catalog = service.session().catalog().snapshot();
+    let cache = service.session().cache().collect();
+    let document = catalog.to_document_string();
+    let snapshot = format!(
+        "{}{}",
+        mapcomp_catalog::render_generation_marker(mapcomp_catalog::Position::new(generation, 0)),
+        mapcomp_catalog::save_state(&catalog, &cache)
+    );
+    (document.len() + snapshot.len()) as u64
+}
+
+fn persistence_run(mappings: usize) -> PersistencePoint {
     use mapcomp_service::{
         sidecar_path, LocalService, MapcompService as _, PersistPolicy, Request, Response,
     };
 
-    let file = std::env::temp_dir()
-        .join(format!("mapcomp_fig12_{}_{tag}_{mappings}.doc", std::process::id()));
+    let file =
+        std::env::temp_dir().join(format!("mapcomp_fig12_{}_{mappings}.doc", std::process::id()));
     let sidecar = sidecar_path(&file);
     for stale in [&file, &sidecar] {
         let _ = std::fs::remove_file(stale);
     }
     // Thresholds are disabled so the measurement sees the raw per-request
-    // cost of each mode, never a mid-run compaction.
-    let policy = PersistPolicy { mode, compact_appends: None, compact_bytes: None };
+    // append cost, never a mid-run compaction.
+    let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
     let open = || {
         LocalService::open_with_policy(
             &file,
@@ -1309,27 +1263,24 @@ fn persistence_mode_run(
         Ok(Response::Added { .. }) => {}
         other => panic!("seeding the fig12 catalog failed: {other:?}"),
     }
-    let file_bytes = |path: &std::path::Path| std::fs::metadata(path).map_or(0, |meta| meta.len());
-    let mut bytes_written = 0u64;
-    let started = std::time::Instant::now();
+    let reader = mapcomp_catalog::SidecarWriter::new(&sidecar);
+    let mut incremental_bytes = 0u64;
+    let mut rewrite_bytes = 0u64;
+    let mut elapsed = Duration::ZERO;
     for request in 0..PERSISTENCE_REQUESTS {
         let from = 2 * request;
-        let before_sidecar = file_bytes(&sidecar);
+        let before = reader.file_len();
+        let started = std::time::Instant::now();
         let reply = service.call(Request::ComposePath {
             from: format!("pv{from}"),
             to: format!("pv{}", from + 2),
         });
+        elapsed += started.elapsed();
         assert!(reply.is_ok(), "fig12 compose failed: {reply:?}");
-        bytes_written += match mode {
-            // Appends only: the document snapshot is untouched.
-            mapcomp_service::PersistMode::Incremental => {
-                file_bytes(&sidecar).saturating_sub(before_sidecar)
-            }
-            // Both files are rewritten whole.
-            mapcomp_service::PersistMode::FullRewrite => file_bytes(&file) + file_bytes(&sidecar),
-        };
+        // Appends only: the document snapshot is untouched.
+        incremental_bytes += reader.file_len().saturating_sub(before);
+        rewrite_bytes += compaction_bytes(&service, &reader);
     }
-    let elapsed = started.elapsed() / PERSISTENCE_REQUESTS as u32;
 
     // Kill (no shutdown, no compaction) and restart: recovery must replay
     // the delta tail to the same catalog document and cumulative cache
@@ -1338,38 +1289,29 @@ fn persistence_mode_run(
     let pre_stats = service.session().cache().stats();
     drop(service);
     let reopened = open();
-    let recovered = reopened.session().catalog().snapshot().to_document_string() == pre_document
+    let recovered_identical = reopened.session().catalog().snapshot().to_document_string()
+        == pre_document
         && reopened.session().cache().stats() == pre_stats;
     drop(reopened);
     for stale in [&file, &sidecar] {
         let _ = std::fs::remove_file(stale);
     }
-    (bytes_written / PERSISTENCE_REQUESTS as u64, elapsed, recovered)
+    let requests = PERSISTENCE_REQUESTS as u64;
+    PersistencePoint {
+        mappings,
+        incremental_bytes: incremental_bytes / requests,
+        rewrite_bytes: rewrite_bytes / requests,
+        incremental_time: elapsed / PERSISTENCE_REQUESTS as u32,
+        recovered_identical,
+    }
 }
 
 /// Run the Figure 12 experiment: at each catalog size, drive the same
-/// state-changing request sequence through an incremental-persistence
-/// service and a full-rewrite one, recording mean bytes written and wall
-/// time per request plus a kill-and-restart recovery check.
+/// state-changing request sequence through a persistent service, recording
+/// mean bytes appended and wall time per request, the full-rewrite baseline
+/// of each request, and a kill-and-restart recovery check.
 pub fn persistence_experiment(scale: Scale) -> Vec<PersistencePoint> {
-    use mapcomp_service::PersistMode;
-    persistence_sizes(scale)
-        .into_iter()
-        .map(|mappings| {
-            let (incremental_bytes, incremental_time, incremental_ok) =
-                persistence_mode_run(mappings, PersistMode::Incremental, "incr");
-            let (rewrite_bytes, rewrite_time, rewrite_ok) =
-                persistence_mode_run(mappings, PersistMode::FullRewrite, "full");
-            PersistencePoint {
-                mappings,
-                incremental_bytes,
-                rewrite_bytes,
-                incremental_time,
-                rewrite_time,
-                recovered_identical: incremental_ok && rewrite_ok,
-            }
-        })
-        .collect()
+    persistence_sizes(scale).into_iter().map(persistence_run).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1504,11 +1446,7 @@ fn fig13_leader(tag: &str) -> (mapcomp_service::LocalService, std::path::PathBuf
 
     let file = std::env::temp_dir().join(format!("mapcomp_fig13_{tag}_{}.doc", std::process::id()));
     fig13_cleanup(&file);
-    let policy = PersistPolicy {
-        mode: mapcomp_service::PersistMode::Incremental,
-        compact_appends: None,
-        compact_bytes: None,
-    };
+    let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
     let service = LocalService::open_with_policy(
         &file,
         Registry::standard(),

@@ -30,10 +30,10 @@
 //! across per-segment mutexes (segment = hash of the memo key), so parallel
 //! workers composing disjoint chains rarely contend; [`ShardedMemoCache::stats`]
 //! merges the per-segment counters while holding every segment lock, so the
-//! merged snapshot is atomic. The chain driver reaches either shape through
-//! the [`ChainCache`] shared-reference trait.
+//! merged snapshot is atomic. The chain driver reaches the cache through
+//! the [`ChainCache`] shared-reference trait, so a caller can wrap it (for
+//! example to time each pairwise composition a miss pays for).
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -121,8 +121,7 @@ pub enum CacheEvent {
 }
 
 /// The cache interface of the chain driver, through a shared reference so a
-/// cache can be consulted concurrently (or through a [`RefCell`] when single
-/// threaded). Implementations may decline to retain an insertion and may
+/// cache can be consulted concurrently. Implementations may decline to retain an insertion and may
 /// drop entries at any time — the driver treats every lookup miss as "pay
 /// one pairwise composition", never as an error.
 pub trait ChainCache {
@@ -132,20 +131,6 @@ pub trait ChainCache {
     fn cache_contains(&self, key: &MemoKey) -> bool;
     /// Insert a composed segment under its key.
     fn cache_insert(&self, key: MemoKey, chain: ComposedChain);
-}
-
-impl ChainCache for RefCell<MemoCache> {
-    fn cache_lookup(&self, key: MemoKey) -> Option<ComposedChain> {
-        self.borrow_mut().lookup(key)
-    }
-
-    fn cache_contains(&self, key: &MemoKey) -> bool {
-        self.borrow().contains(key)
-    }
-
-    fn cache_insert(&self, key: MemoKey, chain: ComposedChain) {
-        self.borrow_mut().insert(key, chain);
-    }
 }
 
 /// Content-addressed memo cache with dependency-tracked invalidation and

@@ -18,31 +18,15 @@
 //! step, mirroring how the paper's editing scenario recovers leftover
 //! symbols in later compositions.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use mapcomp_algebra::{ConstraintSet, Mapping, Signature};
 use mapcomp_compose::{compose_constraints, ComposeConfig, Registry};
 
-use crate::cache::{ChainCache, MemoCache};
+use crate::cache::ChainCache;
 use crate::error::CatalogError;
 use crate::hash::{combine, hash_config};
-use crate::store::Catalog;
-
-/// A source of single-link chain segments by mapping name. Implemented by
-/// the single-threaded [`Catalog`] and by the lock-striped
-/// [`crate::shared::SharedCatalog`], so the chain driver composes over
-/// either without caring which store backs it.
-pub trait LinkSource {
-    /// Materialise the named mapping as a one-link chain.
-    fn link(&self, name: &str) -> Result<ComposedChain, CatalogError>;
-}
-
-impl LinkSource for Catalog {
-    fn link(&self, name: &str) -> Result<ComposedChain, CatalogError> {
-        ComposedChain::from_entry(self, name)
-    }
-}
+use crate::shared::SharedCatalog;
 
 /// A (partially) composed chain segment: a mapping from the path's source
 /// schema to its target schema, plus any intermediate symbols that survived
@@ -71,21 +55,6 @@ impl ComposedChain {
     /// Did every intermediate symbol get eliminated?
     pub fn is_complete(&self) -> bool {
         self.residual.is_empty()
-    }
-
-    /// Lift a single catalog mapping into a one-link chain.
-    pub fn from_entry(catalog: &Catalog, name: &str) -> Result<Self, CatalogError> {
-        let entry = catalog.mapping(name)?;
-        let mapping = catalog.materialize(name)?;
-        Ok(ComposedChain {
-            source: entry.source.clone(),
-            target: entry.target.clone(),
-            path: vec![entry.name.clone()],
-            mapping,
-            residual: Signature::new(),
-            hash: entry.hash.0,
-            deps: BTreeSet::from([entry.name.clone()]),
-        })
     }
 }
 
@@ -202,46 +171,20 @@ pub fn compose_pair(
 }
 
 /// Compose a chain of catalog mappings (given by name, adjacent pairs must
-/// share a schema), reusing and populating the memo cache.
-///
-/// Convenience wrapper over [`compose_chain_with`] for the single-threaded
-/// catalog + exclusive cache pairing.
-pub fn compose_chain(
-    catalog: &Catalog,
-    cache: &mut MemoCache,
-    names: &[String],
-    registry: &Registry,
-    config: &ComposeConfig,
-    options: &ChainOptions,
-) -> Result<ChainResult, CatalogError> {
-    // Validate before borrowing the cache: an unwind between the take and
-    // the put-back would silently replace the caller's warm cache with an
-    // empty default.
-    assert!(!names.is_empty(), "compose_chain requires at least one mapping");
-    let cell = RefCell::new(std::mem::take(cache));
-    let result = compose_chain_with(catalog, &cell, names, registry, config, options);
-    *cache = cell.into_inner();
-    result
-}
-
-/// Compose a chain through any [`LinkSource`] and shared [`ChainCache`] —
-/// the form concurrent sessions use, where several workers fold chains over
-/// one lock-striped store and one sharded cache at the same time. Cache
-/// entries may be evicted or invalidated by other workers between the probe
-/// and the fetch; the driver degrades to recomposing the affected run.
-pub fn compose_chain_with<S, C>(
-    store: &S,
+/// share a schema), reusing and populating the memo cache. Several workers
+/// may fold chains over one lock-striped store and one sharded cache at the
+/// same time: cache entries may be evicted or invalidated by other workers
+/// between the probe and the fetch, and the driver then degrades to
+/// recomposing the affected run.
+pub fn compose_chain_with<C: ChainCache + ?Sized>(
+    store: &SharedCatalog,
     cache: &C,
     names: &[String],
     registry: &Registry,
     config: &ComposeConfig,
     options: &ChainOptions,
-) -> Result<ChainResult, CatalogError>
-where
-    S: LinkSource + ?Sized,
-    C: ChainCache + ?Sized,
-{
-    assert!(!names.is_empty(), "compose_chain requires at least one mapping");
+) -> Result<ChainResult, CatalogError> {
+    assert!(!names.is_empty(), "compose_chain_with requires at least one mapping");
     let segments: Vec<ComposedChain> =
         names.iter().map(|name| store.link(name)).collect::<Result<_, _>>()?;
     for pair in segments.windows(2) {
@@ -366,7 +309,25 @@ fn fold_step<C: ChainCache + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ShardedMemoCache;
+    use crate::store::Catalog;
     use mapcomp_algebra::parse_constraints;
+
+    /// Fold `names` over `catalog` with the standard registry.
+    fn compose_chain(
+        catalog: &Catalog,
+        cache: &ShardedMemoCache,
+        names: &[String],
+        config: &ComposeConfig,
+        options: &ChainOptions,
+    ) -> Result<ChainResult, CatalogError> {
+        let store = SharedCatalog::from_catalog(catalog, 1);
+        compose_chain_with(&store, cache, names, &Registry::standard(), config, options)
+    }
+
+    fn new_cache() -> ShardedMemoCache {
+        ShardedMemoCache::new(1, None)
+    }
 
     /// s0 --m0--> s1 --m1--> s2 --m2--> s3: unary copies, fully eliminable.
     fn chain_catalog() -> Catalog {
@@ -394,13 +355,11 @@ mod tests {
     #[test]
     fn cold_chain_performs_n_minus_one_compositions() {
         let catalog = chain_catalog();
-        let mut cache = MemoCache::new();
-        let registry = Registry::standard();
+        let cache = new_cache();
         let result = compose_chain(
             &catalog,
-            &mut cache,
+            &cache,
             &names("m", 3),
-            &registry,
             &ComposeConfig::default(),
             &ChainOptions::default(),
         )
@@ -418,25 +377,18 @@ mod tests {
     #[test]
     fn warm_chain_is_free_and_extension_costs_one() {
         let catalog = chain_catalog();
-        let mut cache = MemoCache::new();
-        let registry = Registry::standard();
+        let cache = new_cache();
         let config = ComposeConfig::default();
         let options = ChainOptions::default();
-        let cold =
-            compose_chain(&catalog, &mut cache, &names("m", 2), &registry, &config, &options)
-                .unwrap();
+        let cold = compose_chain(&catalog, &cache, &names("m", 2), &config, &options).unwrap();
         assert_eq!(cold.compose_calls, 1);
         // Same chain again: all hits.
-        let warm =
-            compose_chain(&catalog, &mut cache, &names("m", 2), &registry, &config, &options)
-                .unwrap();
+        let warm = compose_chain(&catalog, &cache, &names("m", 2), &config, &options).unwrap();
         assert_eq!(warm.compose_calls, 0);
         assert_eq!(warm.cache_hits, 1);
         assert_eq!(warm.chain.hash, cold.chain.hash);
         // Extending by one link only pays for the new link.
-        let extended =
-            compose_chain(&catalog, &mut cache, &names("m", 3), &registry, &config, &options)
-                .unwrap();
+        let extended = compose_chain(&catalog, &cache, &names("m", 3), &config, &options).unwrap();
         assert_eq!(extended.compose_calls, 1);
         assert_eq!(extended.cache_hits, 1);
     }
@@ -444,23 +396,14 @@ mod tests {
     #[test]
     fn different_configs_do_not_share_cache_entries() {
         let catalog = chain_catalog();
-        let mut cache = MemoCache::new();
-        let registry = Registry::standard();
+        let cache = new_cache();
         let options = ChainOptions::default();
-        compose_chain(
-            &catalog,
-            &mut cache,
-            &names("m", 3),
-            &registry,
-            &ComposeConfig::default(),
-            &options,
-        )
-        .unwrap();
+        compose_chain(&catalog, &cache, &names("m", 3), &ComposeConfig::default(), &options)
+            .unwrap();
         let ablated = compose_chain(
             &catalog,
-            &mut cache,
+            &cache,
             &names("m", 3),
-            &registry,
             &ComposeConfig::without_right_compose(),
             &options,
         )
@@ -471,13 +414,11 @@ mod tests {
     #[test]
     fn mismatched_chain_is_rejected() {
         let catalog = chain_catalog();
-        let mut cache = MemoCache::new();
-        let registry = Registry::standard();
+        let cache = new_cache();
         let err = compose_chain(
             &catalog,
-            &mut cache,
+            &cache,
             &["m0".to_string(), "m2".to_string()],
-            &registry,
             &ComposeConfig::default(),
             &ChainOptions::default(),
         )
@@ -495,15 +436,13 @@ mod tests {
             .add_mapping("m1", "a", "b", parse_constraints("R <= S; S = tc(S)").unwrap())
             .unwrap();
         catalog.add_mapping("m2", "b", "c", parse_constraints("S <= T").unwrap()).unwrap();
-        let mut cache = MemoCache::new();
-        let registry = Registry::standard();
+        let cache = new_cache();
         let chain = vec!["m1".to_string(), "m2".to_string()];
         // Best effort: succeeds with a residual.
         let best = compose_chain(
             &catalog,
-            &mut cache,
+            &cache,
             &chain,
-            &registry,
             &ComposeConfig::default(),
             &ChainOptions::default(),
         )
@@ -511,12 +450,11 @@ mod tests {
         assert!(!best.is_complete());
         assert!(best.chain.residual.contains("S"));
         // Strict: the same chain errors.
-        let mut cache = MemoCache::new();
+        let cache = new_cache();
         let err = compose_chain(
             &catalog,
-            &mut cache,
+            &cache,
             &chain,
-            &registry,
             &ComposeConfig::default(),
             &ChainOptions { require_complete: true },
         )
@@ -534,13 +472,11 @@ mod tests {
         catalog.add_schema("v2", Signature::from_arities([("Keep", 1), ("New", 1)]));
         catalog.add_mapping("e1", "v0", "v1", parse_constraints("Old <= Mid").unwrap()).unwrap();
         catalog.add_mapping("e2", "v1", "v2", parse_constraints("Mid <= New").unwrap()).unwrap();
-        let mut cache = MemoCache::new();
-        let registry = Registry::standard();
+        let cache = new_cache();
         let result = compose_chain(
             &catalog,
-            &mut cache,
+            &cache,
             &["e1".to_string(), "e2".to_string()],
-            &registry,
             &ComposeConfig::default(),
             &ChainOptions::default(),
         )
@@ -555,18 +491,14 @@ mod tests {
     #[test]
     fn mid_chain_cached_runs_are_absorbed() {
         let catalog = chain_catalog();
-        let mut cache = MemoCache::new();
-        let registry = Registry::standard();
+        let cache = new_cache();
         let config = ComposeConfig::default();
         let options = ChainOptions::default();
         // Warm the sub-chain m1 ∘ m2 explicitly.
-        compose_chain(&catalog, &mut cache, &names("m", 3)[1..], &registry, &config, &options)
-            .unwrap();
+        compose_chain(&catalog, &cache, &names("m", 3)[1..], &config, &options).unwrap();
         // The full chain absorbs the cached run: one lookup, one new
         // composition joining m0 to it.
-        let result =
-            compose_chain(&catalog, &mut cache, &names("m", 3), &registry, &config, &options)
-                .unwrap();
+        let result = compose_chain(&catalog, &cache, &names("m", 3), &config, &options).unwrap();
         assert_eq!(result.plan, vec![1, 2], "m0 alone, then the cached m1∘m2 run");
         assert_eq!(result.compose_calls, 1);
         assert_eq!(result.cache_hits, 1);

@@ -22,13 +22,14 @@
 //!   `(left-hash, right-hash, config-hash)`, with provenance-tracked
 //!   invalidation: editing one mapping drops exactly the cached segments
 //!   that depend on it.
-//! * [`session`] — the batch/session API tying the pieces together, with the
-//!   instrumented pairwise-composition counter.
 //! * [`replay`] — the schema-evolution simulator hooked into the catalog:
 //!   the Figure-2-style editing scenario re-expressed as incremental
 //!   recomposition (one pairwise composition per edit, not a full re-fold).
-//! * [`shared`] — concurrent sessions over one catalog: the lock-striped
-//!   [`SharedCatalog`] and the [`SharedSession`] parallel batch API.
+//! * [`shared`] — the session API tying the pieces together: the
+//!   lock-striped [`SharedCatalog`] and the [`SharedSession`], with its
+//!   instrumented pairwise-composition counter and parallel batch API. One
+//!   session type serves both single-threaded callers (one worker) and
+//!   concurrent ones.
 //!
 //! An architecture overview of the whole workspace (crate map, data flow,
 //! diagrams) lives in `docs/ARCHITECTURE.md`; the complete on-disk grammar
@@ -39,7 +40,7 @@
 //!
 //! ## Concurrency model
 //!
-//! Concurrent sessions share three structures, each with its own locking
+//! A session's workers share three structures, each with its own locking
 //! discipline (details in the [`shared`] module docs):
 //!
 //! * the **store** is striped into `RwLock` shards keyed by the content hash
@@ -60,7 +61,7 @@
 //!
 //! ```
 //! use mapcomp_algebra::{parse_constraints, Signature};
-//! use mapcomp_catalog::{Catalog, Session};
+//! use mapcomp_catalog::{Catalog, SharedSession};
 //!
 //! let mut catalog = Catalog::new();
 //! catalog.add_schema("s1", Signature::from_arities([("R", 1)]));
@@ -69,7 +70,7 @@
 //! catalog.add_mapping("m12", "s1", "s2", parse_constraints("R <= S").unwrap()).unwrap();
 //! catalog.add_mapping("m23", "s2", "s3", parse_constraints("S <= T").unwrap()).unwrap();
 //!
-//! let mut session = Session::new(catalog);
+//! let session = SharedSession::new(catalog, 1);
 //! let result = session.compose_path("s1", "s3").unwrap();
 //! assert!(result.is_complete());
 //! assert_eq!(result.compose_calls, 1);
@@ -91,17 +92,13 @@ pub mod hash;
 pub mod lock;
 pub mod persist;
 pub mod replay;
-pub mod session;
 pub mod shared;
 pub mod store;
 
 pub use cache::{
     CacheEvent, CacheStats, ChainCache, MemoCache, MemoEntry, MemoKey, ShardedMemoCache,
 };
-pub use chain::{
-    compose_chain, compose_chain_with, compose_pair, ChainOptions, ChainResult, ComposedChain,
-    LinkSource,
-};
+pub use chain::{compose_chain_with, compose_pair, ChainOptions, ChainResult, ComposedChain};
 pub use error::CatalogError;
 pub use graph::{
     edge_cost, reachable, resolve_path, resolve_path_costed_in, resolve_path_in, resolve_path_with,
@@ -118,6 +115,8 @@ pub use persist::{
     VersionManifest,
 };
 pub use replay::{replay_editing, CatalogReplay, ReplayRecord};
-pub use session::{analysis_counts, render_analysis_text, Session, SessionConfig, SessionStats};
-pub use shared::{SharedCatalog, SharedSession};
+pub use shared::{
+    analysis_counts, render_analysis_text, SessionConfig, SessionStats, SharedCatalog,
+    SharedSession,
+};
 pub use store::{Catalog, MappingEntry, SchemaEntry};

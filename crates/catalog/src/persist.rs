@@ -1037,11 +1037,12 @@ impl SidecarWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::Session;
+    use crate::shared::SharedSession;
     use crate::store::Catalog;
     use mapcomp_algebra::parse_constraints;
 
-    fn warm_session() -> Session {
+    /// A 3-hop copy chain composed once: the catalog and its warm cache.
+    fn warm_state() -> (Catalog, MemoCache) {
         let mut catalog = Catalog::new();
         for i in 0..4 {
             catalog.add_schema(format!("s{i}"), Signature::from_arities([(format!("R{i}"), 1)]));
@@ -1056,18 +1057,18 @@ mod tests {
                 )
                 .unwrap();
         }
-        let mut session = Session::new(catalog);
+        let session = SharedSession::new(catalog, 1);
         session.compose_path("s0", "s3").unwrap();
-        session
+        session.into_parts()
     }
 
     #[test]
     fn cache_round_trips_through_the_sidecar_format() {
-        let session = warm_session();
-        let rendered = save_cache(session.cache());
+        let (_, cache) = warm_state();
+        let rendered = save_cache(&cache);
         let restored = load_cache(&rendered);
-        assert_eq!(restored.len(), session.cache().len());
-        for (key, entry) in session.cache().iter() {
+        assert_eq!(restored.len(), cache.len());
+        for (key, entry) in cache.iter() {
             let loaded = restored
                 .dependents(entry.chain.deps.iter().next().unwrap())
                 .into_iter()
@@ -1085,14 +1086,12 @@ mod tests {
 
     #[test]
     fn restored_cache_serves_hits() {
-        let session = warm_session();
-        let calls_cold = session.stats().compose_calls;
-        assert!(calls_cold > 0);
-        let rendered = save_cache(session.cache());
+        let (catalog, cache) = warm_state();
+        assert!(cache.stats().insertions > 0);
+        let rendered = save_cache(&cache);
 
         // A brand-new session over the same catalog, warmed from the sidecar.
-        let catalog = session.catalog().clone();
-        let mut fresh = Session::new(catalog);
+        let mut fresh = SharedSession::new(catalog, 1);
         fresh.restore_cache(load_cache(&rendered));
         let result = fresh.compose_path("s0", "s3").unwrap();
         assert_eq!(result.compose_calls, 0, "sidecar-restored cache must serve the chain");
@@ -1114,12 +1113,12 @@ mod tests {
 
     #[test]
     fn restored_cache_preserves_eviction_order() {
-        let mut session = warm_session();
+        let (_, cache) = warm_state();
         // Touch the chain's first pairwise segment so it becomes the most
         // recently used entry despite its key order.
-        let refreshed: Vec<_> = session.cache().iter().map(|(key, _)| *key).collect();
+        let refreshed: Vec<_> = cache.iter().map(|(key, _)| *key).collect();
         let hot = refreshed[0];
-        let mut cache = load_cache(&save_cache(session.cache()));
+        let mut cache = load_cache(&save_cache(&cache));
         assert!(cache.lookup(hot).is_some());
         let rendered = save_cache(&cache);
         let mut restored = load_cache(&rendered);
@@ -1127,28 +1126,26 @@ mod tests {
         restored.set_capacity(Some(1));
         assert_eq!(restored.len(), 1);
         assert!(restored.contains(&hot), "restored eviction order must follow recency");
-        session.restore_cache(restored);
     }
 
     #[test]
     fn cache_stats_survive_the_sidecar() {
-        let session = warm_session();
-        let before = session.cache().stats();
+        let (_, cache) = warm_state();
+        let before = cache.stats();
         assert!(before.insertions > 0);
-        let restored = load_cache(&save_cache(session.cache()));
+        let restored = load_cache(&save_cache(&cache));
         assert_eq!(restored.stats(), before, "lifetime counters persist, not double-counted");
     }
 
     #[test]
     fn versions_and_history_round_trip_through_the_sidecar() {
-        let mut session = warm_session();
+        let (mut catalog, cache) = warm_state();
         // Edit one mapping twice: version 3, three-entry history.
         for constraints in ["project[0](R1) <= R2", "R1 <= project[0](R2)"] {
-            session.update_mapping("m1", parse_constraints(constraints).unwrap()).unwrap();
+            catalog.update_mapping("m1", parse_constraints(constraints).unwrap()).unwrap();
         }
-        let catalog = session.catalog();
         assert_eq!(catalog.mapping("m1").unwrap().version, 3);
-        let sidecar = save_state(catalog, session.cache());
+        let sidecar = save_state(&catalog, &cache);
 
         // Simulate a fresh CLI invocation: rebuild the catalog from its
         // content-only document, then re-apply the persisted versions.
@@ -1175,11 +1172,11 @@ mod tests {
 
     #[test]
     fn appended_version_lines_supersede_earlier_ones() {
-        let mut session = warm_session();
+        let (mut catalog, _) = warm_state();
         let writer = SidecarWriter::new(temp_sidecar("append"));
-        writer.append(&save_versions(session.catalog())).unwrap();
-        session.update_mapping("m1", parse_constraints("project[0](R1) <= R2").unwrap()).unwrap();
-        let entry = session.catalog().mapping("m1").unwrap().clone();
+        writer.append(&save_versions(&catalog)).unwrap();
+        catalog.update_mapping("m1", parse_constraints("project[0](R1) <= R2").unwrap()).unwrap();
+        let entry = catalog.mapping("m1").unwrap().clone();
         writer.append(&VersionManifest::of_mapping(&entry).render()).unwrap();
         let (manifest, _) = writer.load();
         assert_eq!(manifest.mappings["m1"].0, 2, "last appended line wins");
@@ -1190,11 +1187,11 @@ mod tests {
     #[test]
     fn concurrent_appends_lose_no_updates() {
         let writer = SidecarWriter::new(temp_sidecar("race"));
-        let session = warm_session();
+        let (catalog, _) = warm_state();
         std::thread::scope(|scope| {
             for worker in 0..4u64 {
                 let writer = &writer;
-                let catalog = session.catalog();
+                let catalog = &catalog;
                 scope.spawn(move || {
                     for round in 1..=5u64 {
                         let mut entry = catalog.mapping("m1").unwrap().clone();
@@ -1228,19 +1225,19 @@ mod tests {
 
     #[test]
     fn rewrite_compacts_appended_state() {
-        let session = warm_session();
+        let (catalog, cache) = warm_state();
         let writer = SidecarWriter::new(temp_sidecar("compact"));
         for _ in 0..3 {
-            writer.append(&save_state(session.catalog(), session.cache())).unwrap();
+            writer.append(&save_state(&catalog, &cache)).unwrap();
         }
         let appended_len = std::fs::read_to_string(writer.path()).unwrap().len();
-        writer.rewrite(&save_state(session.catalog(), session.cache())).unwrap();
+        writer.rewrite(&save_state(&catalog, &cache)).unwrap();
         let compacted = std::fs::read_to_string(writer.path()).unwrap();
         assert!(compacted.len() < appended_len, "rewrite must compact the sidecar");
-        let (manifest, cache) = writer.load();
+        let (manifest, loaded) = writer.load();
         assert!(!manifest.is_empty());
-        assert_eq!(cache.len(), session.cache().len());
-        assert_eq!(cache.stats(), session.cache().stats());
+        assert_eq!(loaded.len(), cache.len());
+        assert_eq!(loaded.stats(), cache.stats());
         let _ = std::fs::remove_file(writer.path());
     }
 
@@ -1292,10 +1289,10 @@ mod tests {
 
     #[test]
     fn positioned_deltas_apply_like_legacy_ones() {
-        let session = warm_session();
-        let mut legacy = save_cache(session.cache());
+        let (_, cache) = warm_state();
+        let mut legacy = save_cache(&cache);
         let mut positioned = legacy.clone();
-        let key = *session.cache().iter().next().unwrap().0;
+        let key = *cache.iter().next().unwrap().0;
         let evict = DeltaRecord::Evict { key };
         legacy.push_str(&render_delta(&evict));
         legacy.push('\n');
@@ -1312,11 +1309,11 @@ mod tests {
 
     #[test]
     fn out_of_session_edits_advance_the_restored_version() {
-        let session = warm_session();
-        let sidecar = save_state(session.catalog(), session.cache());
+        let (catalog, cache) = warm_state();
+        let sidecar = save_state(&catalog, &cache);
         // The document is edited by hand between invocations: m1 has new
         // content, so its recorded hash no longer matches.
-        let mut rebuilt = session.catalog().clone();
+        let mut rebuilt = catalog.clone();
         rebuilt.update_mapping("m1", parse_constraints("project[0](R1) <= R2").unwrap()).unwrap();
         let document = mapcomp_algebra::parse_document(&rebuilt.to_document_string()).unwrap();
         let mut fresh = Catalog::new();

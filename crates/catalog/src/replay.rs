@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::chain::ChainResult;
 use crate::error::CatalogError;
-use crate::session::Session;
+use crate::shared::SharedSession;
 use crate::store::Catalog;
 
 /// Per-edit record of the replay.
@@ -41,8 +41,9 @@ pub struct ReplayRecord {
 
 /// Result of replaying an editing scenario through the catalog.
 pub struct CatalogReplay {
-    /// The session, holding the catalog of all versions and the warm cache.
-    pub session: Session,
+    /// The session (one worker), holding the catalog of all versions and
+    /// the warm cache.
+    pub session: SharedSession,
     /// Number of edits applied (schema versions `v0 … v{edits}`).
     pub edits: usize,
     /// Per-edit records.
@@ -132,7 +133,7 @@ pub fn replay_editing(config: &ScenarioConfig) -> Result<CatalogReplay, CatalogE
     let mut names = NameSource::new();
     let original = random_schema(config.schema_size, &config.options, &mut names, &mut rng);
 
-    let mut session = Session::new(Catalog::new());
+    let session = SharedSession::new(Catalog::new(), 1);
     session.add_schema("v0", original.clone());
 
     let mut current = original;

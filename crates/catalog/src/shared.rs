@@ -28,26 +28,123 @@
 //!   with a mutex-guarded flush; readers never block (they read a plain
 //!   file that is only ever appended to or atomically replaced).
 //!
-//! [`SharedSession`] ties the pieces together and adds
-//! [`SharedSession::compose_batch_parallel`]: a batch of chain-composition
-//! requests fanned across a scoped thread pool, every worker sharing the
-//! same store and cache, with results returned in request order.
+//! [`SharedSession`] ties the pieces together: the catalog session API
+//! (mutation with cache invalidation, analysis, chain composition, batches)
+//! over one store and one cache, with instrumentation counters. Its
+//! [`SharedSession::compose_batch_parallel`] fans a batch of
+//! chain-composition requests across a scoped thread pool, every worker
+//! sharing the same store and cache, with results returned in request
+//! order. Single-threaded callers use the same type with one worker.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use mapcomp_algebra::{ConstraintSet, Document, Mapping, Signature};
-use mapcomp_analysis::AnalysisReport;
-use mapcomp_compose::Registry;
+use mapcomp_algebra::{ConstraintSet, Document, Instance, Mapping, Signature};
+use mapcomp_analysis::{AnalysisReport, Termination};
+use mapcomp_compose::{ComposeConfig, ExchangeConfig, ExchangeResult, Registry};
 
-use crate::cache::ShardedMemoCache;
-use crate::chain::{compose_chain_with, ChainResult, ComposedChain, LinkSource};
+use crate::cache::{CacheStats, ShardedMemoCache};
+use crate::chain::{compose_chain_with, ChainOptions, ChainResult, ComposedChain};
 use crate::error::CatalogError;
 use crate::graph::{edge_cost, resolve_path_costed_in, resolve_path_in, PathCost};
 use crate::hash::{hash_mapping, hash_signature, hash_str, ContentHash};
-use crate::session::{render_analysis_text, SessionConfig, SessionStats};
 use crate::store::{Catalog, MappingEntry, SchemaEntry};
+
+/// Configuration of a session.
+#[derive(Debug, Clone, Default)]
+pub struct SessionConfig {
+    /// The compose configuration used for every pairwise composition (part
+    /// of the memo key: sessions with different configurations never share
+    /// entries).
+    pub compose: ComposeConfig,
+    /// Chain options (strict vs. best-effort elimination).
+    pub chain: ChainOptions,
+    /// Maximum number of live memo-cache entries (`None` = unbounded).
+    /// When the bound is hit, least-recently-used entries are evicted; see
+    /// [`crate::cache::CacheStats::evictions`].
+    pub cache_capacity: Option<usize>,
+    /// How `compose_path` scores candidate paths: fewest hops (default) or
+    /// cheapest estimated operator-count growth (see [`PathCost`]).
+    pub path_cost: PathCost,
+    /// Operator override for the chase's per-evaluation tuple budget
+    /// (`--eval-budget` on the CLI). `None` lets the static analyzer pick a
+    /// proven bound when it can, falling back to the engine default; `Some`
+    /// always wins, including over analysis-derived budgets. Not part of the
+    /// memo key — the budget shapes data exchange, not composition.
+    pub eval_budget: Option<usize>,
+}
+
+impl SessionConfig {
+    /// Build the chase configuration this session would run data exchange
+    /// under, optionally consulting an analysis report for a source domain
+    /// of the given size. Precedence: engine default, then analysis-derived
+    /// proven budget, then the operator's [`SessionConfig::eval_budget`]
+    /// override.
+    pub fn chase_config(&self, analysis: Option<(&AnalysisReport, usize)>) -> ExchangeConfig {
+        let base = ExchangeConfig::default();
+        let mut config = match analysis {
+            Some((report, domain)) => report.exchange_config(domain, &base),
+            None => base,
+        };
+        if let Some(budget) = self.eval_budget {
+            config.eval_budget = budget;
+        }
+        config
+    }
+}
+
+/// Render a name-sorted set of per-mapping analysis reports as the
+/// byte-stable catalog-wide text: one `mapping <name>: <verdict summary>`
+/// line each, with the report's diagnostics and chase skips indented two
+/// spaces underneath. Shared by [`SharedSession`] and the service layer so
+/// every surface emits identical bytes.
+pub fn render_analysis_text(reports: &[(String, Arc<AnalysisReport>)]) -> String {
+    let mut sorted: Vec<&(String, Arc<AnalysisReport>)> = reports.iter().collect();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut out = String::new();
+    for (name, report) in sorted {
+        out.push_str(&format!("mapping {name}: {}\n", report.termination.summary()));
+        for diagnostic in &report.diagnostics {
+            out.push_str(&format!("  {diagnostic}\n"));
+        }
+        for (constraint, reason) in &report.skipped {
+            out.push_str(&format!("  skip: {constraint}: {reason}\n"));
+        }
+    }
+    out
+}
+
+/// Tally of analysis verdicts across a set of reports: `(proven, unknown,
+/// diagnostics)` — the counts carried by the wire `analysis` reply.
+pub fn analysis_counts(reports: &[(String, Arc<AnalysisReport>)]) -> (usize, usize, usize) {
+    let mut proven = 0;
+    let mut unknown = 0;
+    let mut diagnostics = 0;
+    for (_, report) in reports {
+        match report.termination {
+            Termination::Proven { .. } => proven += 1,
+            Termination::Unknown { .. } => unknown += 1,
+        }
+        diagnostics += report.diagnostics.len();
+    }
+    (proven, unknown, diagnostics)
+}
+
+/// Cumulative session statistics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionStats {
+    /// Pairwise `compose()` invocations actually performed.
+    pub compose_calls: usize,
+    /// Paths resolved through the composition graph.
+    pub paths_resolved: usize,
+    /// Chain compositions served (cached or not).
+    pub chains_composed: usize,
+    /// Memo-cache statistics.
+    pub cache: CacheStats,
+    /// Live memo-cache entries.
+    pub cache_entries: usize,
+}
 
 /// One stripe of the shared store.
 #[derive(Debug, Default)]
@@ -346,8 +443,9 @@ impl SharedCatalog {
     }
 }
 
-impl LinkSource for SharedCatalog {
-    fn link(&self, name: &str) -> Result<ComposedChain, CatalogError> {
+impl SharedCatalog {
+    /// Materialise the named mapping as a one-link chain.
+    pub fn link(&self, name: &str) -> Result<ComposedChain, CatalogError> {
         loop {
             let entry = self.mapping(name)?;
             let source = self.schema(&entry.source)?;
@@ -379,18 +477,22 @@ fn shard_index(name: &str, shard_count: usize) -> usize {
     (hash_str(name) % shard_count as u64) as usize
 }
 
-/// A concurrent catalog session: every method takes `&self`, so one session
-/// can be shared by reference across threads (it is `Sync`). Mutations
-/// invalidate dependent cache entries exactly like the single-threaded
-/// [`crate::session::Session`]; instrumentation counters are atomics.
+/// A catalog session: store + graph + chain driver + memo cache, with
+/// mutation-triggered invalidation and cumulative instrumentation. Editing
+/// a mapping through the session drops exactly the cached compositions
+/// whose provenance mentions it, so the next `compose_path` recomputes only
+/// the affected part of each chain. Every method takes `&self`, so one
+/// session can be shared by reference across threads (it is `Sync`);
+/// instrumentation counters are atomics.
 pub struct SharedSession {
     catalog: SharedCatalog,
     registry: Registry,
     config: SessionConfig,
     cache: ShardedMemoCache,
-    /// Mutex-guarded mirror of [`crate::session::Session`]'s per-mapping
-    /// analysis cache: name → (content hash at analysis time, report).
-    /// Hash-checked on read, cleared at every invalidation site.
+    /// Per-mapping static-analysis verdicts: name → (content hash at
+    /// analysis time, report). Hash-checked on read (a mismatch means the
+    /// report is stale and is recomputed), cleared at every invalidation
+    /// site.
     analysis: Mutex<BTreeMap<String, (ContentHash, Arc<AnalysisReport>)>>,
     workers: usize,
     compose_calls: AtomicUsize,
@@ -457,9 +559,11 @@ impl SharedSession {
         &self.cache
     }
 
-    /// Seed the sharded cache from a single-threaded cache (e.g. one
-    /// restored from a sidecar). Entries are redistributed across segments;
-    /// the persisted cumulative statistics become the merged baseline.
+    /// Seed the sharded cache from a plain cache (e.g. one restored from a
+    /// sidecar). Entries are redistributed across segments; the persisted
+    /// cumulative statistics become the merged baseline. Content addressing
+    /// makes this safe: entries that no longer match any current mapping
+    /// hash are simply never hit.
     pub fn restore_cache(&mut self, cache: crate::cache::MemoCache) {
         let stripes = self.cache.segment_count();
         self.cache = ShardedMemoCache::from_cache(cache, stripes, self.config.cache_capacity);
@@ -536,8 +640,7 @@ impl SharedSession {
 
     /// Ingest a parsed document (schemas + mappings), invalidating cache
     /// entries for every mapping that was added or changed. Returns the
-    /// touched mapping names — the same contract as
-    /// [`crate::session::Session::ingest_document`]. Entries are applied
+    /// touched mapping names. Entries are applied
     /// and invalidated one at a time, so even if a later entry fails (and
     /// the error propagates with the earlier ones already applied — callers
     /// wanting all-or-nothing should validate against a snapshot first, as
@@ -579,9 +682,9 @@ impl SharedSession {
         self.analysis.lock().unwrap_or_else(PoisonError::into_inner).remove(mapping);
     }
 
-    /// Statically analyze one mapping, mirroring
-    /// [`crate::session::Session::analyze_mapping`]: the cached report is
-    /// returned only while the mapping's content hash still matches.
+    /// Statically analyze one mapping: weak-acyclicity termination verdict
+    /// plus lint diagnostics. Reports are cached per mapping and returned
+    /// only while the mapping's content hash still matches.
     pub fn analyze_mapping(
         &self,
         name: &str,
@@ -619,15 +722,40 @@ impl SharedSession {
             .collect()
     }
 
-    /// Byte-stable catalog-wide analysis text, identical to
-    /// [`crate::session::Session::analysis_text`] for the same catalog
-    /// content.
+    /// Byte-stable catalog-wide analysis text: one `mapping <name>:
+    /// <verdict>` line per mapping (name-sorted), with diagnostics and chase
+    /// skips indented underneath. This is the payload of the wire `analyze`
+    /// frame and the `lint` CLI subcommand.
     pub fn analysis_text(&self, only: Option<&str>) -> Result<String, CatalogError> {
         let reports = match only {
             Some(name) => vec![(name.to_string(), self.analyze_mapping(name)?.1)],
             None => self.analyze_all(),
         };
         Ok(render_analysis_text(&reports))
+    }
+
+    /// Run data exchange for a mapping under an analysis-guided chase
+    /// configuration (see [`SessionConfig::chase_config`]): proven mappings
+    /// chase under their derived budget, unknown ones under runtime limits,
+    /// and the result records the verdict it executed under.
+    pub fn exchange_analyzed(
+        &self,
+        name: &str,
+        source: &Instance,
+    ) -> Result<ExchangeResult, CatalogError> {
+        let report = self.analyze_mapping(name)?.1;
+        let mapping = self.catalog.link(name)?.mapping;
+        let full = mapping.combined_signature().map_err(CatalogError::Algebra)?;
+        let config =
+            self.config.chase_config(Some((&report, mapcomp_analysis::domain_size(source))));
+        Ok(mapcomp_compose::exchange(
+            mapping.constraints.as_slice(),
+            &full,
+            &mapping.output,
+            source,
+            &self.registry,
+            &config,
+        ))
     }
 
     /// Resolve a path under the configured [`PathCost`] and compose it.
@@ -717,9 +845,8 @@ impl SharedSession {
         }
     }
 
-    /// Tear the session apart into a single-threaded catalog snapshot and a
-    /// merged memo cache — e.g. to hand back to a plain
-    /// [`crate::session::Session`] or to persist.
+    /// Tear the session apart into a plain catalog snapshot and a merged
+    /// memo cache, e.g. to persist.
     pub fn into_parts(self) -> (Catalog, crate::cache::MemoCache) {
         let catalog = self.catalog.snapshot();
         let capacity = self.config.cache_capacity;
@@ -854,20 +981,153 @@ mod tests {
     fn parallel_batch_matches_sequential_results() {
         let requests: Vec<(String, String)> = (0..5)
             .flat_map(|i| ((i + 1)..=5).map(move |j| (format!("v{i}"), format!("v{j}"))))
+            .chain([("v9".to_string(), "v0".to_string())])
             .collect();
         let parallel = chain_catalog(5).with_workers(4);
         let parallel_results = parallel.compose_batch_parallel(&requests);
-        let mut sequential = crate::session::Session::new(chain_catalog(5));
-        let sequential_results = sequential.compose_batch(&requests);
+        let sequential = chain_catalog(5).with_workers(1);
+        let sequential_results = sequential.compose_batch_parallel(&requests);
+        assert_eq!(parallel_results.len(), sequential_results.len());
         for (index, (p, s)) in parallel_results.iter().zip(&sequential_results).enumerate() {
-            let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
-            assert_eq!(
-                p.chain.mapping.constraints.to_string(),
-                s.chain.mapping.constraints.to_string(),
-                "request {index} diverged"
-            );
-            assert_eq!(p.chain.path, s.chain.path);
+            match (p, s) {
+                (Ok(p), Ok(s)) => {
+                    assert_eq!(
+                        p.chain.mapping.constraints.to_string(),
+                        s.chain.mapping.constraints.to_string(),
+                        "request {index} diverged"
+                    );
+                    assert_eq!(p.chain.path, s.chain.path);
+                    // Not compared: `chain.hash`, which encodes the fold
+                    // association actually used and so legitimately varies
+                    // with cache warmth (scheduling) even for equal content.
+                }
+                (Err(_), Err(_)) => {}
+                other => panic!("request {index}: outcome mismatch {other:?}"),
+            }
         }
+        // Failed requests are not counted as composed chains.
+        assert_eq!(parallel.stats().chains_composed, requests.len() - 1);
+    }
+
+    #[test]
+    fn sequential_batch_requests_share_segments() {
+        let session = chain_catalog(4).with_workers(1);
+        let results = session.compose_batch_parallel(&[
+            ("v0".to_string(), "v3".to_string()),
+            ("v0".to_string(), "v4".to_string()),
+            ("v9".to_string(), "v0".to_string()),
+        ]);
+        assert!(results[0].is_ok());
+        assert!(results[1].is_ok());
+        assert!(results[2].is_err(), "unknown schema fails without aborting the batch");
+        // Request 2 extends request 1's chain: one extra composition only.
+        assert_eq!(results[1].as_ref().unwrap().compose_calls, 1);
+    }
+
+    #[test]
+    fn identical_reregistration_keeps_the_cache_warm() {
+        let session = chain_catalog(3).with_workers(1);
+        session.compose_path("v0", "v3").unwrap();
+        // Re-adding the same mapping content must not invalidate anything.
+        session.add_mapping("m1", "v1", "v2", parse_constraints("R1 <= R2").unwrap()).unwrap();
+        let warm = session.compose_path("v0", "v3").unwrap();
+        assert_eq!(warm.compose_calls, 0);
+    }
+
+    #[test]
+    fn schema_update_invalidates_through_touching_mappings() {
+        let session = chain_catalog(3).with_workers(1);
+        session.compose_path("v0", "v3").unwrap();
+        // Growing v2 changes m1 and m2's content hashes.
+        session.add_schema("v2", Signature::from_arities([("R2", 1), ("Extra", 2)]));
+        let after = session.compose_path("v0", "v3").unwrap();
+        assert!(after.compose_calls > 0, "schema edit must force recomposition");
+    }
+
+    #[test]
+    fn bounded_cache_evicts_but_stays_correct() {
+        let hops = 6;
+        let config = SessionConfig { cache_capacity: Some(2), ..SessionConfig::default() };
+        let session =
+            SharedSession::with_config(chain_catalog(hops), Registry::standard(), config, 1);
+        let first = session.compose_path("v0", &format!("v{hops}")).unwrap();
+        assert_eq!(first.compose_calls, hops - 1);
+        let stats = session.stats();
+        // The capacity is split across the cache's segments, so it bounds
+        // live entries below the chain's hops - 1 pairwise segments.
+        assert!(stats.cache_entries < hops - 1, "capacity bounds live entries");
+        assert!(stats.cache.evictions > 0, "composing a long chain must evict");
+        // Recomposition still works (paying for the evicted segments again).
+        let again = session.compose_path("v0", &format!("v{hops}")).unwrap();
+        assert!(again.is_complete());
+        assert!(again.compose_calls > 0);
+    }
+
+    #[test]
+    fn restoring_a_larger_cache_does_not_count_the_trim_as_evictions() {
+        // A capacity-bounded session restoring a larger persisted cache must
+        // not count the replay trim as workload evictions — however many
+        // restore cycles happen in one process.
+        let donor = chain_catalog(6).with_workers(1);
+        donor.compose_path("v0", "v6").unwrap();
+        let (catalog, persisted_cache) = donor.into_parts();
+        let persisted = persisted_cache.stats();
+        assert!(persisted.insertions >= 5);
+
+        let config = SessionConfig { cache_capacity: Some(2), ..SessionConfig::default() };
+        let mut bounded = SharedSession::with_config(catalog, Registry::standard(), config, 1);
+        for cycle in 0..3 {
+            bounded.restore_cache(persisted_cache.clone());
+            assert_eq!(
+                bounded.cache().stats(),
+                persisted,
+                "cycle {cycle}: replay trim must not count as evictions"
+            );
+            assert!(bounded.cache().len() < persisted_cache.len(), "the restore trims");
+        }
+    }
+
+    #[test]
+    fn op_count_path_cost_picks_the_cheaper_longer_route() {
+        // A 2-hop shortcut through operator-heavy mappings vs. the 3-hop
+        // copy chain: hop-based resolution takes the shortcut, op-count-based
+        // resolution the cheap chain — and both compose successfully.
+        let mut catalog = chain_catalog(3);
+        catalog.add_schema("shortcut", Signature::from_arities([("S", 1)]));
+        catalog
+            .add_mapping(
+                "heavy1",
+                "v0",
+                "shortcut",
+                parse_constraints("project[0](select[#0 = #1](R0 * R0)) <= S").unwrap(),
+            )
+            .unwrap();
+        catalog
+            .add_mapping(
+                "heavy2",
+                "shortcut",
+                "v3",
+                parse_constraints("project[0](select[#0 = #1](S * S)) <= R3").unwrap(),
+            )
+            .unwrap();
+
+        let by_hops = catalog.clone().with_workers(1);
+        let short = by_hops.compose_path("v0", "v3").unwrap();
+        assert_eq!(short.chain.path, vec!["heavy1", "heavy2"]);
+
+        let config = SessionConfig { path_cost: PathCost::OpCount, ..SessionConfig::default() };
+        let by_cost = SharedSession::with_config(catalog, Registry::standard(), config, 1);
+        let cheap = by_cost.compose_path("v0", "v3").unwrap();
+        assert_eq!(cheap.chain.path, vec!["m0", "m1", "m2"]);
+        assert!(cheap.is_complete());
+    }
+
+    #[test]
+    fn remove_mapping_breaks_the_path() {
+        let session = chain_catalog(3).with_workers(1);
+        session.compose_path("v0", "v3").unwrap();
+        session.remove_mapping("m1").unwrap();
+        assert!(matches!(session.compose_path("v0", "v3"), Err(CatalogError::NoPath { .. })));
     }
 
     #[test]

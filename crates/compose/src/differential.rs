@@ -330,8 +330,7 @@ impl DifferentialChase {
                             ));
                             continue;
                         }
-                        let plan = PremisePlan::compile(&containment.lhs, full_sig)
-                            .map(|plan| plan.with_order(config.join_order));
+                        let plan = PremisePlan::compile(&containment.lhs, full_sig);
                         rules.push(DiffRule { premise: containment.lhs.clone(), conclusion, plan });
                     }
                     Err(reason) => skipped.push((containment.clone(), reason)),

@@ -50,7 +50,7 @@ use mapcomp_algebra::{
 };
 
 use crate::cq::{expr_to_conjunctive, Conjunctive, Term};
-use crate::plan::{JoinOrder, PremisePlan, TupleIndex, WorkBudget};
+use crate::plan::{PremisePlan, TupleIndex, WorkBudget};
 use crate::registry::Registry;
 
 /// Fixpoint evaluation strategy of the chase (see the module docs).
@@ -104,11 +104,6 @@ pub struct ExchangeConfig {
     pub eval_budget: usize,
     /// Fixpoint evaluation strategy (default: semi-naive).
     pub strategy: ChaseStrategy,
-    /// Atom join-order policy for indexed premise plans (default: greedy
-    /// smallest-relation-first). [`JoinOrder::SourceOrder`] restores the
-    /// historical left-to-right order — and with it the exact budget-charging
-    /// sequence — for strict-parity comparisons.
-    pub join_order: JoinOrder,
     /// The static termination verdict this run executes under, set by the
     /// caller (typically from `mapcomp-analysis`); copied verbatim into
     /// [`ExchangeResult::verdict`]. Purely informational to the engine.
@@ -122,7 +117,6 @@ impl Default for ExchangeConfig {
             max_nulls: 10_000,
             eval_budget: 1_000_000,
             strategy: ChaseStrategy::default(),
-            join_order: JoinOrder::default(),
             verdict: TerminationVerdict::default(),
         }
     }
@@ -132,12 +126,6 @@ impl ExchangeConfig {
     /// This configuration with a different chase strategy.
     pub fn with_strategy(mut self, strategy: ChaseStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// This configuration with a different join-order policy.
-    pub fn with_join_order(mut self, join_order: JoinOrder) -> Self {
-        self.join_order = join_order;
         self
     }
 }
@@ -237,8 +225,7 @@ pub fn exchange(
                             continue;
                         }
                     };
-                    let plan = PremisePlan::compile(&containment.lhs, full_sig)
-                        .map(|plan| plan.with_order(config.join_order));
+                    let plan = PremisePlan::compile(&containment.lhs, full_sig);
                     rules.push(ChaseRule {
                         origin: containment.clone(),
                         premise: containment.lhs.clone(),

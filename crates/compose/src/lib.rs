@@ -61,6 +61,5 @@ pub use exchange::{exchange, ChaseStrategy, ExchangeConfig, ExchangeResult, Term
 pub use minimize::{minimize_expr, minimize_mapping, remove_implied};
 pub use monotone::{is_monotone, monotonicity};
 pub use outcome::{EliminateFailure, EliminateStep, EliminateSuccess, FailureReason};
-pub use plan::JoinOrder;
 pub use registry::{Monotonicity, OperatorRules, Registry};
 pub use verify::{check_equivalence, EquivalenceReport, VerifyConfig};

@@ -21,13 +21,12 @@
 //! Work is bounded by a [`WorkBudget`] counting produced binding rows, the
 //! same safety valve as the evaluator's tuple budget.
 //!
-//! Atom join order is chosen per evaluation by a [`JoinOrder`] policy:
-//! the default greedy policy starts from the smallest relation and then
-//! repeatedly picks the atom with the most already-bound columns (smallest
-//! relation on ties), which keeps intermediate binding sets — and therefore
-//! budget charges — small on wide premises. The historical source-order
-//! policy is kept behind [`JoinOrder::SourceOrder`] so the equivalence suite
-//! can pin the exact budget-charging sequence of earlier releases.
+//! Atom join order is chosen greedily per evaluation: start from the
+//! smallest relation, then repeatedly pick the atom with the most
+//! already-bound columns (smallest relation on ties, then source position),
+//! which keeps intermediate binding sets — and therefore budget charges —
+//! small on wide premises. Any order produces the same result set; only the
+//! number of intermediate binding rows changes.
 
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -259,22 +258,6 @@ impl AtomSource<'_> {
     }
 }
 
-/// Atom join-order policy of a compiled premise plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinOrder {
-    /// Join atoms left to right as written. Kept for exact budget-charging
-    /// parity with earlier releases (and with the naive chase strategy's
-    /// expression evaluation); the equivalence suite pins this policy.
-    SourceOrder,
-    /// Greedy smallest-relation-first: open with the smallest relation, then
-    /// repeatedly take the atom with the most already-bound columns, breaking
-    /// ties by relation cardinality and then by source position. Produces
-    /// the same result set as any other order — only the number of
-    /// intermediate binding rows (and hence budget consumption) changes.
-    #[default]
-    Greedy,
-}
-
 /// A compiled conjunctive premise: body atoms, constant bindings, and the
 /// head projection (all head terms are atom-bound or constant-bound
 /// variables).
@@ -284,7 +267,6 @@ pub struct PremisePlan {
     head: Vec<usize>,
     var_count: usize,
     relations: BTreeSet<String>,
-    order: JoinOrder,
 }
 
 impl PremisePlan {
@@ -315,14 +297,7 @@ impl PremisePlan {
             head,
             var_count: cq.var_count,
             relations,
-            order: JoinOrder::default(),
         })
-    }
-
-    /// This plan with a different join-order policy.
-    pub fn with_order(mut self, order: JoinOrder) -> Self {
-        self.order = order;
-        self
     }
 
     /// Relations the premise reads.
@@ -337,37 +312,32 @@ impl PremisePlan {
         self.ordered(None, &|rel| full.row_count(rel) + topup.map_or(0, |t| t.row_count(rel)))
     }
 
-    /// Pick the atom visit order under the configured policy. `first` forces
-    /// a leading atom (the delta-bound atom of [`PremisePlan::eval_delta`]);
-    /// `sizes` reports per-relation cardinalities for the greedy ranking.
+    /// Pick the greedy atom visit order. `first` forces a leading atom (the
+    /// delta-bound atom of [`PremisePlan::eval_delta`]); `sizes` reports
+    /// per-relation cardinalities for the ranking.
     fn ordered(&self, first: Option<usize>, sizes: &dyn Fn(&str) -> usize) -> Vec<usize> {
-        let rest = |skip: Option<usize>| (0..self.atoms.len()).filter(move |i| Some(*i) != skip);
-        match self.order {
-            JoinOrder::SourceOrder => first.into_iter().chain(rest(first)).collect(),
-            JoinOrder::Greedy => {
-                let mut bound: BTreeSet<usize> = self.const_of.keys().copied().collect();
-                let mut order: Vec<usize> = first.into_iter().collect();
-                if let Some(lead) = first {
-                    bound.extend(self.atoms[lead].args.iter().copied());
-                }
-                let mut remaining: Vec<usize> = rest(first).collect();
-                while !remaining.is_empty() {
-                    let best = remaining
-                        .iter()
-                        .copied()
-                        .min_by_key(|&i| {
-                            let atom = &self.atoms[i];
-                            let joined = atom.args.iter().filter(|v| bound.contains(v)).count();
-                            (std::cmp::Reverse(joined), sizes(&atom.rel), i)
-                        })
-                        .expect("non-empty remaining set");
-                    remaining.retain(|&i| i != best);
-                    bound.extend(self.atoms[best].args.iter().copied());
-                    order.push(best);
-                }
-                order
-            }
+        let mut bound: BTreeSet<usize> = self.const_of.keys().copied().collect();
+        let mut order: Vec<usize> = first.into_iter().collect();
+        if let Some(lead) = first {
+            bound.extend(self.atoms[lead].args.iter().copied());
         }
+        let mut remaining: Vec<usize> =
+            (0..self.atoms.len()).filter(|i| Some(*i) != first).collect();
+        while !remaining.is_empty() {
+            let best = remaining
+                .iter()
+                .copied()
+                .min_by_key(|&i| {
+                    let atom = &self.atoms[i];
+                    let joined = atom.args.iter().filter(|v| bound.contains(v)).count();
+                    (std::cmp::Reverse(joined), sizes(&atom.rel), i)
+                })
+                .expect("non-empty remaining set");
+            remaining.retain(|&i| i != best);
+            bound.extend(self.atoms[best].args.iter().copied());
+            order.push(best);
+        }
+        order
     }
 
     /// Evaluate the premise over the full frontier.
@@ -662,12 +632,7 @@ mod tests {
         let plan = PremisePlan::compile(&expr, &sig).unwrap();
         let full = index_of(&inst, &["R", "S"]);
         assert_eq!(plan.join_order(&full, None), vec![1, 0], "greedy starts at the small S");
-        let pinned = PremisePlan::compile(&expr, &sig).unwrap().with_order(JoinOrder::SourceOrder);
-        assert_eq!(pinned.join_order(&full, None), vec![0, 1]);
-        // Both orders produce the same result set.
         let greedy_out = plan.eval_full(&full, None, &mut WorkBudget::new(10_000)).unwrap();
-        let source_out = pinned.eval_full(&full, None, &mut WorkBudget::new(10_000)).unwrap();
-        assert_eq!(greedy_out, source_out);
         assert_eq!(greedy_out, [tuple([0i64, 0])].into());
     }
 
@@ -682,18 +647,13 @@ mod tests {
         let expr = parse_expr("project[0,3](select[#1 = #2](R * S))").unwrap();
         let full = index_of(&inst, &["R", "S"]);
         // Starting from the one-row S, the indexed probe into R touches one
-        // binding row per stage; source order scans all of R first.
+        // binding row per stage; opening on R would scan all 50 rows first.
         let greedy = PremisePlan::compile(&expr, &sig).unwrap();
         assert!(greedy.eval_full(&full, None, &mut WorkBudget::new(4)).is_ok());
-        let pinned = PremisePlan::compile(&expr, &sig).unwrap().with_order(JoinOrder::SourceOrder);
-        assert!(matches!(
-            pinned.eval_full(&full, None, &mut WorkBudget::new(4)),
-            Err(AlgebraError::EvalBudgetExceeded { .. })
-        ));
     }
 
     #[test]
-    fn delta_evaluation_orders_agree_on_results() {
+    fn delta_evaluation_binds_the_delta_atom_first() {
         let sig = sig();
         let mut old = Instance::new();
         for i in 0..20i64 {
@@ -705,12 +665,9 @@ mod tests {
         let mut fresh = Instance::new();
         fresh.insert("S", tuple([101i64, 1]));
         let delta = index_of(&fresh, &["S"]);
-        for order in [JoinOrder::Greedy, JoinOrder::SourceOrder] {
-            let plan = PremisePlan::compile(&expr, &sig).unwrap().with_order(order);
-            let out =
-                plan.eval_delta(&full, Some(&delta), &delta, &mut WorkBudget::new(1000)).unwrap();
-            assert_eq!(out, [tuple([1i64, 1])].into(), "order {order:?}");
-        }
+        let plan = PremisePlan::compile(&expr, &sig).unwrap();
+        let out = plan.eval_delta(&full, Some(&delta), &delta, &mut WorkBudget::new(1000)).unwrap();
+        assert_eq!(out, [tuple([1i64, 1])].into());
     }
 
     #[test]

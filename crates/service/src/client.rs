@@ -7,8 +7,7 @@
 //! protocol* supports pipelining (servers answer back-to-back frames in
 //! order), but this blocking client keeps the simple lock-step discipline.
 //! For *parallel* traffic, open one client per thread; the event-loop
-//! server multiplexes any number of connections, and the threaded server
-//! serves each from its worker pool.
+//! server multiplexes any number of connections.
 //!
 //! Against a server started with an auth token, build the client with
 //! [`Client::with_auth_token`]: the token rides the first frame as the

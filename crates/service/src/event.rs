@@ -1,9 +1,9 @@
 //! The readiness-driven TCP front end: one event loop owning every socket,
 //! a bounded CPU worker pool doing the compose work.
 //!
-//! The threaded [`crate::server::Server`] binds live clients to pool
-//! workers one-to-one, so 4 workers means 4 concurrent connections no
-//! matter how idle they are. This engine splits the two resources the way
+//! A thread-per-connection server binds live clients to pool workers
+//! one-to-one, so 4 workers would mean 4 concurrent connections no matter
+//! how idle they are. This engine splits the two resources the way
 //! event-driven brokers do: a single loop thread multiplexes *all*
 //! connections through an `epoll`/`poll` readiness poller (the offline
 //! [`polling`] shim), while a small fixed pool of CPU workers executes
@@ -29,12 +29,11 @@
 //! growing the queue — `server_cpu_queue_depth` gauges the queue and
 //! `server_busy_rejected_total` counts the sheds.
 //!
-//! Both front ends speak the identical wire protocol (the
-//! transport-equivalence suite diffs them byte for byte), and shutdown is
-//! the same in-band handshake: a [`Request::Shutdown`] reply makes the
-//! backend persist, the accept socket is deregistered, and every
-//! connection is closed as soon as its already-accepted work has been
-//! flushed.
+//! The transport-equivalence suite diffs this engine's replies byte for
+//! byte against the in-process [`crate::LocalService`]. Shutdown is an
+//! in-band handshake: a [`Request::Shutdown`] reply makes the backend
+//! persist, the accept socket is deregistered, and every connection is
+//! closed as soon as its already-accepted work has been flushed.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read as _, Write as _};
@@ -46,12 +45,90 @@ use std::time::{Duration, Instant};
 use mapcomp_catalog::Position;
 use mapcomp_replication::{StreamEvent, Subscription};
 use mapcomp_telemetry::log::{json_line, LogFormat, LogValue};
+use mapcomp_telemetry::metrics::{global, Counter, Gauge};
 use polling::{Event, Poller};
 
 use crate::api::{DeltaChunkPayload, ErrorCode, Request, Response, ServiceError};
-use crate::server::{auth_required, token_matches, ServerTelemetry};
 use crate::service::MapcompService;
 use crate::wire::{decode_request_frame, encode_reply, FRAME_END, MAX_FRAME_BYTES};
+
+/// Transport-level metric handles, registered once per server against the
+/// process-global registry.
+struct ServerTelemetry {
+    connections_accepted: &'static Counter,
+    connections_closed: &'static Counter,
+    connections_active: &'static Gauge,
+    frame_bytes_read: &'static Counter,
+    frame_bytes_written: &'static Counter,
+    cpu_queue_depth: &'static Gauge,
+    busy_rejected: &'static Counter,
+}
+
+impl ServerTelemetry {
+    fn new() -> Self {
+        let registry = global();
+        ServerTelemetry {
+            connections_accepted: registry.counter(
+                "server_connections_accepted_total",
+                "TCP connections accepted by the serve loop.",
+                &[],
+            ),
+            connections_closed: registry.counter(
+                "server_connections_closed_total",
+                "TCP connections that finished (disconnect, idle reap, or error).",
+                &[],
+            ),
+            connections_active: registry.gauge(
+                "server_connections_active",
+                "TCP connections currently open on the serve loop.",
+                &[],
+            ),
+            frame_bytes_read: registry.counter(
+                "server_frame_bytes_read_total",
+                "Request frame bytes read off client connections.",
+                &[],
+            ),
+            frame_bytes_written: registry.counter(
+                "server_frame_bytes_written_total",
+                "Reply frame bytes written to client connections.",
+                &[],
+            ),
+            cpu_queue_depth: registry.gauge(
+                "server_cpu_queue_depth",
+                "Decoded requests waiting for a free CPU worker.",
+                &[],
+            ),
+            busy_rejected: registry.counter(
+                "server_busy_rejected_total",
+                "Requests shed with the `busy` error because the CPU queue was full.",
+                &[],
+            ),
+        }
+    }
+}
+
+/// Compare a presented auth token against the expected one in constant
+/// time: the scan length depends only on the *expected* token, and every
+/// byte position contributes to the verdict, so timing reveals neither the
+/// match prefix length nor the expected length.
+fn token_matches(expected: &str, presented: &str) -> bool {
+    let expected = expected.as_bytes();
+    let presented = presented.as_bytes();
+    let mut diff = expected.len() ^ presented.len();
+    for (i, &byte) in expected.iter().enumerate() {
+        // Out-of-range presented bytes fold in a constant instead.
+        diff |= usize::from(byte ^ presented.get(i).copied().unwrap_or(0));
+    }
+    diff == 0
+}
+
+/// The error a request on a not-yet-authenticated connection gets.
+fn auth_required() -> ServiceError {
+    ServiceError::new(
+        ErrorCode::Unavailable,
+        "authentication required: present the server's token in an `auth` field",
+    )
+}
 
 /// Poller key of the listening socket (connection keys start above it).
 const LISTENER_KEY: usize = 0;
@@ -281,9 +358,9 @@ impl EventServer {
     /// no unflushed replies after `timeout` without progress. A peer that
     /// has delivered part of a frame has made progress and is waited on —
     /// only truly idle connections are dropped. `None` disables reaping
-    /// (the default); unlike the threaded engine, idle connections here
-    /// cost one fd rather than a pinned worker, so reaping is optional
-    /// hygiene rather than a liveness requirement.
+    /// (the default); an idle connection costs one fd rather than a pinned
+    /// worker, so reaping is optional hygiene rather than a liveness
+    /// requirement.
     pub fn set_idle_timeout(&mut self, timeout: Option<Duration>) {
         self.idle_timeout = timeout;
     }
@@ -293,9 +370,12 @@ impl EventServer {
         self.idle_timeout
     }
 
-    /// Require every connection to authenticate before serving requests
-    /// (see [`crate::server::Server::set_auth_token`]; the two engines
-    /// share semantics).
+    /// Require every connection to authenticate before serving requests:
+    /// until a frame carrying the matching `auth <token>` field arrives,
+    /// all requests on the connection are refused with
+    /// [`ErrorCode::Unavailable`]. One valid token authenticates the whole
+    /// connection. `None` (the default) serves everyone — the right call
+    /// for loopback deployments only.
     pub fn set_auth_token(&mut self, token: Option<String>) {
         self.auth_token = token;
     }
@@ -377,9 +457,8 @@ impl EventServer {
     }
 
     /// One CPU worker: pop jobs until the loop stops. The shutdown gate
-    /// sits here, at execution time, exactly where the threaded engine
-    /// applies it — per-connection execution order makes the two engines'
-    /// shutdown semantics coincide.
+    /// sits here, at execution time: per-connection execution order means a
+    /// request pipelined behind a `shutdown` is refused, never run.
     fn cpu_worker<S: MapcompService>(&self, pool: &CpuPool, service: &S) {
         loop {
             let job = {
@@ -770,7 +849,7 @@ impl EventServer {
         self.flush_and_settle(state, completion.slot);
     }
 
-    /// One request log line, mirroring the threaded engine's format.
+    /// One request log line (format in `docs/OBSERVABILITY.md`).
     fn log_request(&self, peer: &str, kind: &str, trace: Option<u64>, ok: bool, elapsed: Duration) {
         let slow = self.slow_threshold.is_some_and(|threshold| elapsed >= threshold);
         if self.log_format.is_none() && !slow {
@@ -900,8 +979,7 @@ impl EventServer {
         }
     }
 
-    /// Deregister and drop a connection, with the close bookkeeping the
-    /// threaded engine performs.
+    /// Deregister and drop a connection, with its close bookkeeping.
     fn close_conn(&self, state: &mut LoopState, slot: usize, ok: bool) {
         let Some(conn) = state.slots[slot].take() else { return };
         state.free.push(slot);
@@ -926,8 +1004,8 @@ fn busy() -> ServiceError {
 
 /// Extract one complete frame from a connection's read buffer, if its
 /// `end` terminator line has arrived. `Err(())` means the frame bytes are
-/// not valid UTF-8 (the connection is torn). Same incremental line scan as
-/// the threaded engine's `FrameReader`.
+/// not valid UTF-8 (the connection is torn). The scan is incremental:
+/// `conn.scanned` remembers how far earlier calls got.
 fn take_frame(conn: &mut Conn) -> Option<Result<String, ()>> {
     while let Some(offset) = conn.read_buf[conn.scanned..].iter().position(|&b| b == b'\n') {
         let line_end = conn.scanned + offset;
@@ -980,6 +1058,49 @@ mod tests {
                 .unwrap();
         }
         catalog
+    }
+
+    #[test]
+    fn token_comparison_accepts_exact_matches_only() {
+        assert!(token_matches("secret", "secret"));
+        assert!(!token_matches("secret", "secreT"));
+        assert!(!token_matches("secret", "secre"));
+        assert!(!token_matches("secret", "secrets"));
+        assert!(!token_matches("secret", ""));
+        assert!(token_matches("", ""));
+        assert!(!token_matches("", "x"));
+    }
+
+    #[test]
+    fn malformed_frames_get_protocol_errors_without_killing_the_connection() {
+        let service = LocalService::new(Catalog::new(), 1);
+        let server = EventServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            let server = &server;
+            let service = &service;
+            scope.spawn(move || server.run(service, 1).unwrap());
+
+            let raw = TcpStream::connect(addr).unwrap();
+            let mut writer = raw.try_clone().unwrap();
+            let mut reader = BufReader::new(raw);
+            writer.write_all(b"garbage frame\nend\n").unwrap();
+            writer.flush().unwrap();
+            let frame = wire::read_frame(&mut reader).unwrap().unwrap();
+            let reply = wire::decode_reply(&frame).unwrap();
+            assert_eq!(reply.unwrap_err().code, ErrorCode::Protocol);
+
+            // The same connection still serves well-formed frames.
+            writer.write_all(wire::encode_request(&Request::Ping).as_bytes()).unwrap();
+            writer.flush().unwrap();
+            let frame = wire::read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!(wire::decode_reply(&frame).unwrap().unwrap(), Response::Pong);
+
+            writer.write_all(wire::encode_request(&Request::Shutdown).as_bytes()).unwrap();
+            writer.flush().unwrap();
+            let frame = wire::read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!(wire::decode_reply(&frame).unwrap().unwrap(), Response::ShuttingDown);
+        });
     }
 
     #[test]

@@ -16,13 +16,11 @@
 //!   [`LocalService`] backend over a concurrent
 //!   [`mapcomp_catalog::SharedSession`], with optional catalog-file +
 //!   sidecar persistence (cross-process `.lock`-protected).
-//! * [`server`] — the threaded [`Server`]: a `std::net::TcpListener` front
-//!   end with a bounded pool of scoped connection workers and graceful
-//!   in-band shutdown.
-//! * [`event`] — the readiness-driven [`EventServer`]: one event loop
-//!   (epoll/poll via the offline `polling` shim) owning every socket,
-//!   per-connection state machines with request pipelining, and a bounded
-//!   CPU worker pool with explicit `busy` backpressure.
+//! * [`event`] — the TCP front end, [`EventServer`]: one readiness-driven
+//!   event loop (epoll/poll via the offline `polling` shim) owning every
+//!   socket, per-connection state machines with request pipelining, a
+//!   bounded CPU worker pool with explicit `busy` backpressure, and
+//!   graceful in-band shutdown.
 //! * [`client`] — the blocking [`Client`], itself a [`MapcompService`], so
 //!   callers cannot tell (and must not care) whether the catalog is local
 //!   or remote.
@@ -42,11 +40,11 @@
 //!
 //! ```
 //! use mapcomp_catalog::Catalog;
-//! use mapcomp_service::{Client, LocalService, MapcompService, Request, Response, Server};
+//! use mapcomp_service::{Client, EventServer, LocalService, MapcompService, Request, Response};
 //!
 //! // An in-memory backend, a loopback server, and a client.
 //! let service = LocalService::new(Catalog::new(), 2);
-//! let server = Server::bind("127.0.0.1:0").unwrap();
+//! let server = EventServer::bind("127.0.0.1:0").unwrap();
 //! let addr = server.local_addr().unwrap().to_string();
 //! std::thread::scope(|scope| {
 //!     scope.spawn(|| server.run(&service, 2).unwrap());
@@ -69,7 +67,6 @@ pub mod api;
 pub mod client;
 pub mod event;
 pub mod follower;
-pub mod server;
 pub mod service;
 pub mod wire;
 
@@ -81,8 +78,7 @@ pub use api::{
 pub use client::Client;
 pub use event::EventServer;
 pub use follower::{Follower, FollowerState, ReadOnlyService};
-pub use server::Server;
-pub use service::{sidecar_path, LocalService, MapcompService, PersistMode, PersistPolicy};
+pub use service::{sidecar_path, LocalService, MapcompService, PersistPolicy};
 pub use wire::{
     decode_reply, decode_request, decode_request_frame, decode_request_traced, encode_reply,
     encode_request, encode_request_frame, encode_request_traced, escape, read_frame, unescape,

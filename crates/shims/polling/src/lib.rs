@@ -259,12 +259,18 @@ mod backend {
             Ok(())
         }
 
+        /// Reads the eventfd before clearing the pending flag. The other
+        /// order loses wake-ups: a `notify` landing between the two would
+        /// have its write eaten while the flag stayed set, so every later
+        /// `notify` would return early. In this order a racing `notify`
+        /// either writes again or is covered by the wake-up the caller is
+        /// returning from (the caller drains its work after every wait).
         fn drain_notifications(&self) {
-            self.notified.store(false, Ordering::Release);
             let mut buf = [0u8; 8];
             // SAFETY: reads at most 8 bytes into a live buffer; the eventfd
             // is non-blocking so this never hangs.
             unsafe { read(self.event_fd, buf.as_mut_ptr(), buf.len()) };
+            self.notified.store(false, Ordering::Release);
         }
     }
 
@@ -467,11 +473,13 @@ mod backend {
             Ok(())
         }
 
+        /// Empties the pipe before clearing the pending flag, for the
+        /// reason given on the epoll backend's `drain_notifications`.
         fn drain_notifications(&self) {
-            self.notified.store(false, Ordering::Release);
             let mut buf = [0u8; 64];
             // SAFETY: non-blocking read into a live buffer.
             while unsafe { read(self.pipe_read, buf.as_mut_ptr(), buf.len()) } > 0 {}
+            self.notified.store(false, Ordering::Release);
         }
     }
 
@@ -619,5 +627,47 @@ mod tests {
         let mut events = Vec::new();
         poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap();
         assert!(events.is_empty());
+    }
+
+    #[test]
+    fn notify_racing_a_drain_is_never_lost() {
+        // One thread notifies in a tight loop while this one waits and
+        // drains. A notify that lands while `wait` drains the previous one
+        // must not be eaten with the pending flag left set: that would make
+        // every later notify a no-op, and a wait would time out with
+        // notifications outstanding.
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let poller = Poller::new().unwrap();
+        let sent = AtomicUsize::new(0);
+        let done = AtomicBool::new(false);
+        let timeout = Duration::from_secs(1);
+        std::thread::scope(|scope| {
+            let (poller, sent, done) = (&poller, &sent, &done);
+            scope.spawn(move || {
+                let started = Instant::now();
+                while started.elapsed() < Duration::from_millis(1500) {
+                    sent.fetch_add(1, Ordering::SeqCst);
+                    poller.notify().unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+                // Wakes a wait that began before `done` was set.
+                poller.notify().unwrap();
+            });
+            let mut events = Vec::new();
+            while !done.load(Ordering::SeqCst) {
+                let seen = sent.load(Ordering::SeqCst);
+                let started = Instant::now();
+                poller.wait(&mut events, Some(timeout)).unwrap();
+                assert!(
+                    started.elapsed() < timeout || sent.load(Ordering::SeqCst) == seen,
+                    "wait timed out with a notify pending"
+                );
+            }
+        });
+        poller.notify().unwrap();
+        let started = Instant::now();
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(timeout)).unwrap();
+        assert!(started.elapsed() < timeout, "a notify after the race was lost");
     }
 }

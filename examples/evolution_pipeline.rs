@@ -15,7 +15,7 @@ fn main() {
     let config =
         ScenarioConfig { schema_size: 8, edits: 16, seed: 2026, ..ScenarioConfig::default() };
     let replay = replay_editing(&config).expect("replay succeeds");
-    let mut session = replay.session;
+    let session = replay.session;
 
     println!(
         "catalog          : {} schema versions, {} mappings",
@@ -83,7 +83,7 @@ fn main() {
 
     // 5. The whole catalog round-trips through the plain-text document
     //    format (the same format `mapcomp catalog` persists on disk).
-    let text = session.catalog().to_document_string();
+    let text = session.catalog().snapshot().to_document_string();
     let reparsed = parse_document(&text).expect("catalog text re-parses");
     assert_eq!(reparsed.schemas.len(), session.catalog().schema_count());
     println!(

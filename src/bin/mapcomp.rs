@@ -49,26 +49,23 @@
 //!
 //! Catalog commands also accept `--cache-capacity N` (bound the memo cache;
 //! 0 = unbounded), `--path-cost hops|op-count` (fewest-hops vs.
-//! cheapest-estimated-growth path resolution), and the durability policy:
-//! `--persist incremental|full` (incremental, the default, appends delta
-//! records so each state-changing command costs I/O proportional to the
-//! change; full rewrites document + sidecar every time), with
-//! `--compact-appends N` / `--compact-bytes N` bounding how much delta log
-//! accumulates before it is folded back into snapshot form (0 = never; an
-//! explicit `compact` always folds). The on-disk grammar is specified in
-//! `docs/PERSISTENCE.md`.
+//! cheapest-estimated-growth path resolution), and the compaction policy:
+//! each state-changing command appends delta records, so it costs I/O
+//! proportional to the change, and `--compact-appends N` /
+//! `--compact-bytes N` bound how much delta log accumulates before it is
+//! folded back into snapshot form (0 = never; an explicit `compact` always
+//! folds). The on-disk grammar is specified in `docs/PERSISTENCE.md`.
 //!
 //! **Service mode**: serve the same catalog over TCP, and drive a server
 //! from the command line:
 //!
 //! ```text
 //! mapcomp serve  --catalog <file> [--addr 127.0.0.1:0] [--workers N]
-//!                [--engine event|threaded] [--queue-limit N]
-//!                [--auth-token-file <path>]
+//!                [--queue-limit N] [--auth-token-file <path>]
 //!                [--cache-capacity N] [--path-cost hops|op-count]
 //!                [--require-complete] [--idle-timeout SECONDS]
 //!                [--slow-ms N] [--log-format text|json]
-//!                [--persist incremental|full] [compose flags]
+//!                [compose flags]
 //!                [--replicate | --follow <host:port>]
 //! mapcomp client --addr <host:port> [--auth-token-file <path>] ping
 //! mapcomp client --addr <host:port> add <document-file>...
@@ -85,13 +82,12 @@
 //! mapcomp client --addr <host:port> shutdown
 //! ```
 //!
-//! `serve` defaults to the readiness-driven event engine: one event loop
-//! owns every socket, connections pipeline freely, and `--workers N`
-//! bounds the CPU pool that actually composes (`--queue-limit N` bounds
-//! how many decoded requests may wait for it before the server sheds with
-//! the `busy` error code). `--engine threaded` selects the
-//! thread-per-connection server instead — same wire protocol byte for
-//! byte, with `--workers` bounding concurrent connections. With
+//! `serve` runs the readiness-driven event engine: one event loop owns
+//! every socket, connections pipeline freely, and `--workers N` bounds the
+//! CPU pool that actually composes (`--queue-limit N` bounds how many
+//! decoded requests may wait for it before the server sheds with the
+//! `busy` error code). `--engine event` is accepted and changes nothing;
+//! `--engine threaded` names a removed engine and is refused. With
 //! `--auth-token-file <path>` the server refuses requests until a
 //! connection presents the file's first-line token in an `auth` frame
 //! field; the client-side flag makes `mapcomp client` present it.
@@ -105,7 +101,7 @@
 //!
 //! `serve --replicate` makes the process a replication *leader*: every
 //! sidecar append is published to subscribers, and `subscribe`/`snapshot`
-//! requests are answered (event engine only). `serve --follow <host:port>`
+//! requests are answered. `serve --follow <host:port>`
 //! makes it a read-only *follower* of the leader at that address: reads
 //! are served from a local replica fed by the leader's delta stream, and
 //! writes fail with the `readonly` error code naming the leader. See
@@ -135,8 +131,7 @@ use mapping_composition::algebra::parse_document;
 use mapping_composition::catalog::{Catalog, ChainOptions, PathCost, SessionConfig};
 use mapping_composition::compose::{compose, minimize_mapping, ComposeConfig, Registry};
 use mapping_composition::service::{
-    Client, EventServer, Follower, LocalService, MapcompService, PersistMode, PersistPolicy,
-    Request, Response, Server,
+    Client, EventServer, Follower, LocalService, MapcompService, PersistPolicy, Request, Response,
 };
 use mapping_composition::telemetry::log::LogFormat;
 
@@ -253,16 +248,6 @@ fn run(options: &Options) -> Result<(), String> {
 /// keyword, its positional arguments, and the session policy flags (which
 /// only the *serving* side applies — locally for `catalog`, at bind time for
 /// `serve`, and not at all for `client`).
-/// Which TCP front end `mapcomp serve` runs. Both speak the identical
-/// wire protocol; the difference is purely the concurrency model.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ServeEngine {
-    /// Readiness-driven event loop with a bounded CPU pool (the default).
-    Event,
-    /// Thread-per-connection server with a bounded worker pool.
-    Threaded,
-}
-
 struct ServiceArgs {
     command: String,
     positional: Vec<String>,
@@ -280,8 +265,6 @@ struct ServiceArgs {
     /// then uses its own default (1 locally, the `serve`-time count
     /// remotely).
     workers: Option<usize>,
-    /// `--persist incremental|full`; `None` = the default (incremental).
-    persist_mode: Option<PersistMode>,
     /// `--compact-appends N` (0 = never compact on append count).
     compact_appends: Option<usize>,
     /// `--compact-bytes N` (0 = never compact on sidecar size).
@@ -295,24 +278,23 @@ struct ServiceArgs {
     /// `--log-format text|json`: structured connection/request logging on
     /// stderr. Serve mode only; `None` = silent, the default.
     log_format: Option<LogFormat>,
-    /// `--engine event|threaded`: which server front end `serve` runs.
-    /// `None` = event, the default.
-    engine: Option<ServeEngine>,
+    /// `--engine event` was given: a no-op kept so existing `serve`
+    /// command lines keep working. Serve mode only.
+    engine: bool,
     /// `--queue-limit N`: bound on decoded requests waiting for a CPU
-    /// worker before the event engine sheds with `busy`. Serve mode,
-    /// event engine only.
+    /// worker before the event engine sheds with `busy`. Serve mode only.
     queue_limit: Option<usize>,
     /// `--auth-token-file <path>`: file whose first line is the shared
     /// auth token (serve requires it, client presents it).
     auth_token_file: Option<String>,
     /// `--replicate`: serve as a replication leader — publish every sidecar
-    /// append to subscribers and answer `subscribe`/`snapshot`. Serve mode,
-    /// event engine only.
+    /// append to subscribers and answer `subscribe`/`snapshot`. Serve mode
+    /// only.
     replicate: bool,
     /// `--follow <host:port>`: serve as a read-only follower of the leader
     /// at that address. Serve mode only.
     follow: Option<String>,
-    /// Session-policy flags seen while parsing (compose flags,
+    /// Serving-side policy flags seen while parsing (compose flags,
     /// `--require-complete`, `--cache-capacity`, `--path-cost`). They only
     /// take effect on the serving side, so client mode rejects them instead
     /// of silently ignoring them.
@@ -331,10 +313,7 @@ impl ServiceArgs {
     }
 
     fn persist_policy(&self) -> PersistPolicy {
-        let mut policy = match self.persist_mode {
-            Some(PersistMode::FullRewrite) => PersistPolicy::full_rewrite(),
-            _ => PersistPolicy::default(),
-        };
+        let mut policy = PersistPolicy::default();
         if let Some(appends) = self.compact_appends {
             policy.compact_appends = if appends == 0 { None } else { Some(appends) };
         }
@@ -359,13 +338,12 @@ fn parse_service_args(command: Option<&String>, args: &[String]) -> Result<Servi
         path_cost: PathCost::Hops,
         eval_budget: None,
         workers: None,
-        persist_mode: None,
         compact_appends: None,
         compact_bytes: None,
         idle_timeout: None,
         slow_ms: None,
         log_format: None,
-        engine: None,
+        engine: false,
         queue_limit: None,
         auth_token_file: None,
         replicate: false,
@@ -433,15 +411,6 @@ fn parse_service_args(command: Option<&String>, args: &[String]) -> Result<Servi
                         .ok_or_else(|| format!("invalid worker count `{value}`"))?,
                 );
             }
-            "--persist" => {
-                let value = iter.next().ok_or("--persist requires `incremental` or `full`")?;
-                parsed.persist_mode = Some(match value.as_str() {
-                    "incremental" => PersistMode::Incremental,
-                    "full" => PersistMode::FullRewrite,
-                    other => return Err(format!("invalid persist mode `{other}`")),
-                });
-                parsed.policy_flags.push(arg.clone());
-            }
             "--compact-appends" => {
                 let value = iter.next().ok_or("--compact-appends requires a count")?;
                 parsed.compact_appends =
@@ -480,12 +449,16 @@ fn parse_service_args(command: Option<&String>, args: &[String]) -> Result<Servi
                 parsed.policy_flags.push(arg.clone());
             }
             "--engine" => {
-                let value = iter.next().ok_or("--engine requires `event` or `threaded`")?;
-                parsed.engine = Some(match value.as_str() {
-                    "event" => ServeEngine::Event,
-                    "threaded" => ServeEngine::Threaded,
+                let value = iter.next().ok_or("--engine requires `event`")?;
+                match value.as_str() {
+                    "event" => parsed.engine = true,
+                    "threaded" => {
+                        return Err("the threaded engine has been removed: `serve` runs the \
+                                    event engine (`--engine event`, or no --engine at all)"
+                            .to_string())
+                    }
                     other => return Err(format!("invalid engine `{other}`")),
-                });
+                }
             }
             "--queue-limit" => {
                 let value = iter.next().ok_or("--queue-limit requires a count")?;
@@ -926,7 +899,7 @@ fn run_catalog(args: &ServiceArgs) -> Result<(), String> {
     if args.slow_ms.is_some() || args.log_format.is_some() {
         return Err("--slow-ms/--log-format apply to `mapcomp serve`, not catalog mode".to_string());
     }
-    if args.engine.is_some() || args.queue_limit.is_some() {
+    if args.engine || args.queue_limit.is_some() {
         return Err("--engine/--queue-limit apply to `mapcomp serve`, not catalog mode".to_string());
     }
     if args.replicate || args.follow.is_some() {
@@ -964,29 +937,48 @@ fn read_auth_token(path: &str) -> Result<String, String> {
     Ok(token.to_string())
 }
 
+/// Bind the event engine at `addr` with the serve-mode connection policy:
+/// idle reaping, slow-request logging, log format, auth and queue limit.
+fn bind_server(
+    args: &ServiceArgs,
+    addr: &str,
+    auth_token: Option<String>,
+) -> Result<EventServer, String> {
+    let mut server = EventServer::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    if let Some(seconds) = args.idle_timeout.filter(|&s| s > 0.0) {
+        server.set_idle_timeout(Some(std::time::Duration::from_secs_f64(seconds)));
+    }
+    if let Some(ms) = args.slow_ms.filter(|&ms| ms > 0) {
+        // Keep the in-process slow-span ring on the same threshold, so
+        // slow wire requests are retained by the tracer too.
+        mapping_composition::telemetry::trace::set_slow_threshold_ms(ms);
+        server.set_slow_threshold(Some(std::time::Duration::from_millis(ms)));
+    }
+    server.set_log_format(args.log_format);
+    server.set_auth_token(auth_token);
+    if let Some(limit) = args.queue_limit {
+        server.set_queue_limit(limit);
+    }
+    // The one stdout line automation depends on: parse the ephemeral port
+    // off it before connecting.
+    println!("listening on {}", server.local_addr().map_err(|e| e.to_string())?);
+    use std::io::Write as _;
+    let _ = std::io::stdout().flush();
+    Ok(server)
+}
+
 fn run_serve(args: &ServiceArgs) -> Result<(), String> {
     let catalog_file = args.catalog_file.as_ref().ok_or("serve requires --catalog <file>")?;
     let addr = args.addr.clone().unwrap_or_else(|| "127.0.0.1:0".to_string());
     let workers = args.workers.unwrap_or(1);
-    let engine = args.engine.unwrap_or(ServeEngine::Event);
-    if engine == ServeEngine::Threaded && args.queue_limit.is_some() {
-        return Err("--queue-limit applies to the event engine: the threaded engine's \
-                    queue is bounded by --workers"
-            .to_string());
-    }
     let auth_token = args.auth_token_file.as_deref().map(read_auth_token).transpose()?;
     if args.replicate && args.follow.is_some() {
         return Err("--replicate and --follow are mutually exclusive: a process is a \
                     leader or a follower, not both"
             .to_string());
     }
-    if args.replicate && engine == ServeEngine::Threaded {
-        return Err("--replicate requires the event engine: subscriptions are long-lived \
-                    streams served by the event loop"
-            .to_string());
-    }
     if let Some(leader) = &args.follow {
-        return run_follower(args, catalog_file, leader, &addr, workers, engine, auth_token);
+        return run_follower(args, catalog_file, leader, &addr, workers, auth_token);
     }
     let service = LocalService::open_with_policy(
         catalog_file,
@@ -1001,85 +993,34 @@ fn run_serve(args: &ServiceArgs) -> Result<(), String> {
         service.enable_replication().map_err(|e| e.to_string())?;
         eprintln!("replicating : leader mode, publishing the delta log to subscribers");
     }
-    let idle_timeout =
-        args.idle_timeout.filter(|&s| s > 0.0).map(std::time::Duration::from_secs_f64);
-    let slow_threshold = args.slow_ms.filter(|&ms| ms > 0).map(|ms| {
-        // Keep the in-process slow-span ring on the same threshold, so
-        // slow wire requests are retained by the tracer too.
-        mapping_composition::telemetry::trace::set_slow_threshold_ms(ms);
-        std::time::Duration::from_millis(ms)
-    });
-    let engine_name = match engine {
-        ServeEngine::Event => "event",
-        ServeEngine::Threaded => "threaded",
-    };
-    let announce = |bound: std::net::SocketAddr| {
-        // The one stdout line automation depends on: parse the ephemeral
-        // port off it before connecting.
-        println!("listening on {bound}");
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        eprintln!(
-            "serving     : catalog {catalog_file} with {workers} workers \
-             ({engine_name} engine; send `shutdown` to stop)"
-        );
-    };
-    match engine {
-        ServeEngine::Event => {
-            let mut server =
-                EventServer::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-            if let Some(timeout) = idle_timeout {
-                server.set_idle_timeout(Some(timeout));
-            }
-            if let Some(threshold) = slow_threshold {
-                server.set_slow_threshold(Some(threshold));
-            }
-            server.set_log_format(args.log_format);
-            server.set_auth_token(auth_token);
-            if let Some(limit) = args.queue_limit {
-                server.set_queue_limit(limit);
-            }
-            announce(server.local_addr().map_err(|e| e.to_string())?);
-            server.run(&service, workers).map_err(|e| e.to_string())?;
-        }
-        ServeEngine::Threaded => {
-            let mut server = Server::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-            if let Some(timeout) = idle_timeout {
-                server.set_idle_timeout(Some(timeout));
-            }
-            if let Some(threshold) = slow_threshold {
-                server.set_slow_threshold(Some(threshold));
-            }
-            server.set_log_format(args.log_format);
-            server.set_auth_token(auth_token);
-            announce(server.local_addr().map_err(|e| e.to_string())?);
-            server.run(&service, workers).map_err(|e| e.to_string())?;
-        }
-    }
+    let server = bind_server(args, &addr, auth_token)?;
+    eprintln!(
+        "serving     : catalog {catalog_file} with {workers} workers \
+         (event engine; send `shutdown` to stop)"
+    );
+    server.run(&service, workers).map_err(|e| e.to_string())?;
     eprintln!("stopped     : catalog persisted to {catalog_file}");
     Ok(())
 }
 
 /// Serve as a read-only follower: open the local replica, put its
-/// read-only service surface behind the chosen server front end, and drive
-/// the replication apply loop (subscribe → bootstrap → stream) on a
-/// dedicated thread. The auth token, when given, is presented to the
-/// leader *and* required of the follower's own clients.
+/// read-only service surface behind the event engine, and drive the
+/// replication apply loop (subscribe → bootstrap → stream) on a dedicated
+/// thread. The auth token, when given, is presented to the leader *and*
+/// required of the follower's own clients.
 fn run_follower(
     args: &ServiceArgs,
     catalog_file: &str,
     leader: &str,
     addr: &str,
     workers: usize,
-    engine: ServeEngine,
     auth_token: Option<String>,
 ) -> Result<(), String> {
-    // Persistence policy configures a leader's delta log; the follower's
+    // The compaction policy configures a leader's delta log; the follower's
     // sidecar mirrors the leader's log verbatim, so the flags would be
     // silently meaningless here.
-    if args.persist_mode.is_some() || args.compact_appends.is_some() || args.compact_bytes.is_some()
-    {
-        return Err("--persist/--compact-appends/--compact-bytes configure a leader's log; \
+    if args.compact_appends.is_some() || args.compact_bytes.is_some() {
+        return Err("--compact-appends/--compact-bytes configure a leader's log; \
                     a follower mirrors the leader's log verbatim"
             .to_string());
     }
@@ -1093,60 +1034,15 @@ fn run_follower(
     )
     .map_err(|e| e.to_string())?;
     let service = follower.service();
-    let idle_timeout =
-        args.idle_timeout.filter(|&s| s > 0.0).map(std::time::Duration::from_secs_f64);
-    let slow_threshold = args.slow_ms.filter(|&ms| ms > 0).map(|ms| {
-        mapping_composition::telemetry::trace::set_slow_threshold_ms(ms);
-        std::time::Duration::from_millis(ms)
-    });
-    let engine_name = match engine {
-        ServeEngine::Event => "event",
-        ServeEngine::Threaded => "threaded",
-    };
-    let announce = |bound: std::net::SocketAddr| {
-        println!("listening on {bound}");
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        eprintln!(
-            "following   : leader {leader} -> catalog {catalog_file} \
-             ({engine_name} engine, read-only; send `shutdown` to stop)"
-        );
-    };
     std::thread::scope(|scope| -> Result<(), String> {
         let apply = scope.spawn(|| follower.run());
-        let served = match engine {
-            ServeEngine::Event => {
-                let mut server =
-                    EventServer::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-                if let Some(timeout) = idle_timeout {
-                    server.set_idle_timeout(Some(timeout));
-                }
-                if let Some(threshold) = slow_threshold {
-                    server.set_slow_threshold(Some(threshold));
-                }
-                server.set_log_format(args.log_format);
-                server.set_auth_token(auth_token.clone());
-                if let Some(limit) = args.queue_limit {
-                    server.set_queue_limit(limit);
-                }
-                announce(server.local_addr().map_err(|e| e.to_string())?);
-                server.run(&service, workers).map_err(|e| e.to_string())
-            }
-            ServeEngine::Threaded => {
-                let mut server =
-                    Server::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-                if let Some(timeout) = idle_timeout {
-                    server.set_idle_timeout(Some(timeout));
-                }
-                if let Some(threshold) = slow_threshold {
-                    server.set_slow_threshold(Some(threshold));
-                }
-                server.set_log_format(args.log_format);
-                server.set_auth_token(auth_token.clone());
-                announce(server.local_addr().map_err(|e| e.to_string())?);
-                server.run(&service, workers).map_err(|e| e.to_string())
-            }
-        };
+        let served = bind_server(args, addr, auth_token).and_then(|server| {
+            eprintln!(
+                "following   : leader {leader} -> catalog {catalog_file} \
+                 (event engine, read-only; send `shutdown` to stop)"
+            );
+            server.run(&service, workers).map_err(|e| e.to_string())
+        });
         follower.stop();
         let streamed = apply.join().map_err(|_| "replication apply thread panicked".to_string())?;
         served?;
@@ -1171,7 +1067,7 @@ fn run_client(args: &ServiceArgs) -> Result<(), String> {
     if args.catalog_file.is_some() {
         return Err("client mode talks to a server: use --addr, not --catalog".to_string());
     }
-    if args.engine.is_some() || args.queue_limit.is_some() {
+    if args.engine || args.queue_limit.is_some() {
         return Err("--engine/--queue-limit apply to `mapcomp serve`, not client mode".to_string());
     }
     if args.replicate || args.follow.is_some() {
@@ -1206,8 +1102,7 @@ fn main() -> ExitCode {
              \x20      mapcomp catalog compact       --catalog <file>\n\
              \n\
              \x20      mapcomp serve  --catalog <file> [--addr HOST:PORT] [--workers N]\n\
-             \x20                     [--engine event|threaded] [--queue-limit N]\n\
-             \x20                     [--auth-token-file FILE]\n\
+             \x20                     [--queue-limit N] [--auth-token-file FILE]\n\
              \x20                     [--idle-timeout SECONDS] [--slow-ms N]\n\
              \x20                     [--log-format text|json]\n\
              \x20                     [--replicate | --follow HOST:PORT]\n\
@@ -1218,18 +1113,15 @@ fn main() -> ExitCode {
              \x20      catalog/serve also accept --cache-capacity N (0 = unbounded),\n\
              \x20      --path-cost hops|op-count, --eval-budget N (chase step budget;\n\
              \x20      must be positive, overrides analyzer-proven bounds),\n\
-             \x20      the compose flags, and the durability\n\
-             \x20      policy: --persist incremental|full (default incremental: append\n\
-             \x20      delta records, compact on thresholds/shutdown/`compact`),\n\
-             \x20      --compact-appends N and --compact-bytes N (0 = never). `serve`\n\
+             \x20      the compose flags, and --compact-appends N / --compact-bytes N\n\
+             \x20      (fold the appended delta log into a snapshot; 0 = never). `serve`\n\
              \x20      prints `listening on <addr>` (use port 0 for an ephemeral port),\n\
              \x20      reaps connections idle past --idle-timeout (0/off = keep forever),\n\
-             \x20      and stops when a client sends `shutdown`. The default --engine\n\
-             \x20      event pipelines requests through one readiness loop and bounds\n\
-             \x20      compose work with a --workers CPU pool (--queue-limit N sheds\n\
-             \x20      excess load with the `busy` error); --engine threaded serves one\n\
-             \x20      connection per worker thread. --auth-token-file FILE requires\n\
-             \x20      clients to present the file's token in an `auth` frame field."
+             \x20      and stops when a client sends `shutdown`. It pipelines requests\n\
+             \x20      through one readiness loop and bounds compose work with a\n\
+             \x20      --workers CPU pool (--queue-limit N sheds excess load with the\n\
+             \x20      `busy` error). --auth-token-file FILE requires clients to present\n\
+             \x20      the file's token in an `auth` frame field."
         );
         return if args.is_empty() { ExitCode::FAILURE } else { ExitCode::SUCCESS };
     }

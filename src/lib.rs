@@ -36,8 +36,8 @@
 //!   typed [`service::Request`]/[`service::Response`] enums with one unified
 //!   [`service::ServiceError`] (stable error codes), a hand-rolled
 //!   line-oriented wire codec, an in-process backend over the concurrent
-//!   shared session with incremental append-only persistence, and a
-//!   threaded TCP server + blocking client — the `mapcomp serve` /
+//!   shared session with incremental append-only persistence, and an
+//!   event-loop TCP server + blocking client — the `mapcomp serve` /
 //!   `mapcomp client` front ends.
 //! * [`telemetry`] — the offline observability substrate: a lock-free
 //!   metrics registry (counters, gauges, fixed-bucket histograms) rendered
@@ -92,7 +92,7 @@
 //!     mapping m23 : sigma2 -> sigma3 { S <= T; }
 //! ").unwrap();
 //!
-//! let mut session = Session::new(Catalog::new());
+//! let session = SharedSession::new(Catalog::new(), 1);
 //! session.ingest_document(&doc).unwrap();
 //!
 //! // Multi-hop: resolve the path sigma1 → sigma3 and fold it.
@@ -120,7 +120,7 @@
 //! use mapping_composition::prelude::*;
 //!
 //! let backend = LocalService::new(Catalog::new(), 2);
-//! let server = Server::bind("127.0.0.1:0").unwrap();
+//! let server = EventServer::bind("127.0.0.1:0").unwrap();
 //! let addr = server.local_addr().unwrap().to_string();
 //! std::thread::scope(|scope| {
 //!     scope.spawn(|| server.run(&backend, 2).unwrap());
@@ -167,12 +167,11 @@ pub mod prelude {
     };
     pub use mapcomp_catalog::{
         replay_editing, Catalog, CatalogError, ChainOptions, ChainResult, ContentHash, MemoCache,
-        PathCost, Session, SessionConfig, SessionStats, SharedCatalog, SharedSession,
-        SidecarWriter,
+        PathCost, SessionConfig, SessionStats, SharedCatalog, SharedSession, SidecarWriter,
     };
     pub use mapcomp_compose::{
         compose, compose_constraints, eliminate, ComposeConfig, ComposeResult, EliminateStep,
-        JoinOrder, Monotonicity, Registry,
+        Monotonicity, Registry,
     };
     pub use mapcomp_corpus::{problem, problems};
     pub use mapcomp_evolution::{
@@ -180,6 +179,7 @@ pub mod prelude {
         ReconcileConfig, ScenarioConfig,
     };
     pub use mapcomp_service::{
-        Client, ErrorCode, LocalService, MapcompService, Request, Response, Server, ServiceError,
+        Client, ErrorCode, EventServer, LocalService, MapcompService, Request, Response,
+        ServiceError,
     };
 }

@@ -230,10 +230,9 @@ fn evolution_scenarios_agree() {
 #[test]
 fn greedy_join_order_reorders_skewed_premises_and_preserves_results() {
     // A two-atom join premise where the small relation is written *second*:
-    // source order would open the join on the big Events relation, greedy
-    // must open on the one-row Config relation. The chase result — targets,
-    // skips, rounds, convergence — must be identical either way, and the
-    // plan introspection must show the reorder actually fired.
+    // the greedy order must open the join on the one-row Config relation,
+    // not the big Events one. The plan introspection must show the reorder
+    // actually fired, and both strategies must still agree on the chase.
     let full = Signature::from_arities([("Events", 2), ("Config", 2), ("Out", 2)]);
     let target = Signature::from_arities([("Out", 2)]);
     let constraints =
@@ -244,79 +243,24 @@ fn greedy_join_order_reorders_skewed_premises_and_preserves_results() {
     }
     source.insert("Config", vec![Value::Int(0), Value::Int(99)]);
 
-    // Plan introspection: greedy flips the atom order, source order keeps it.
     let premise = parse_expr("project[0,3](select[#1 = #2](Events * Config))").unwrap();
     let frontier =
         TupleIndex::from_layers(&[&source], ["Events".to_string(), "Config".to_string()].iter());
     let greedy = PremisePlan::compile(&premise, &full).unwrap();
     assert_eq!(greedy.join_order(&frontier, None), vec![1, 0], "reorder must fire");
-    let pinned = PremisePlan::compile(&premise, &full)
-        .unwrap()
-        .with_order(mapping_composition::compose::JoinOrder::SourceOrder);
-    assert_eq!(pinned.join_order(&frontier, None), vec![0, 1]);
-    let a = greedy.eval_full(&frontier, None, &mut WorkBudget::new(100_000)).unwrap();
-    let b = pinned.eval_full(&frontier, None, &mut WorkBudget::new(100_000)).unwrap();
-    assert_eq!(a, b, "join order must not change the result set");
-    assert_eq!(a.len(), 10, "ten events match the config row");
+    let rows = greedy.eval_full(&frontier, None, &mut WorkBudget::new(100_000)).unwrap();
+    assert_eq!(rows.len(), 10, "ten events match the config row");
 
-    // End to end: the chase under either join order (and either strategy)
-    // produces identical targets and skips.
-    let constraint_vec = constraints.into_vec();
-    let base = ExchangeConfig::default();
-    let greedy_result = assert_strategies_agree(
+    let result = assert_strategies_agree(
         "greedy order",
-        &constraint_vec,
+        &constraints.into_vec(),
         &full,
         &target,
         &source,
-        &base.clone().with_join_order(JoinOrder::Greedy),
+        &ExchangeConfig::default(),
     );
-    let pinned_result = assert_strategies_agree(
-        "source order",
-        &constraint_vec,
-        &full,
-        &target,
-        &source,
-        &base.with_join_order(JoinOrder::SourceOrder),
-    );
-    assert_eq!(greedy_result.target, pinned_result.target);
-    assert_eq!(greedy_result.rounds, pinned_result.rounds);
-    assert!(greedy_result.converged && pinned_result.converged);
-    assert_eq!(greedy_result.target.get("Out").len(), 10);
-}
-
-#[test]
-fn greedy_join_order_survives_tight_budgets_source_order_cannot() {
-    // The budget win the greedy order buys: opening on the one-row side
-    // keeps the intermediate binding set tiny, so a budget that the
-    // source-order join blows through is comfortably enough. (This is why
-    // the flag matters: under bound budgets the two orders can differ in
-    // *which rules get skipped*, so parity suites must pin one.)
-    let full = Signature::from_arities([("Big", 2), ("Tiny", 2), ("Out", 2)]);
-    let target = Signature::from_arities([("Out", 2)]);
-    let constraints =
-        parse_constraints("project[0,3](select[#1 = #2](Big * Tiny)) <= Out").unwrap().into_vec();
-    let mut source = Instance::new();
-    for i in 0..60i64 {
-        source.insert("Big", vec![Value::Int(i), Value::Int(i)]);
-    }
-    source.insert("Tiny", vec![Value::Int(0), Value::Int(1)]);
-    let registry = registry();
-    let tight = ExchangeConfig { eval_budget: 30, ..ExchangeConfig::default() };
-
-    let greedy = exchange(&constraints, &full, &target, &source, &registry, &tight);
-    assert!(greedy.skipped.is_empty(), "greedy order fits the budget: {:?}", greedy.skipped);
-    assert_eq!(greedy.target.get("Out").len(), 1);
-
-    let pinned = exchange(
-        &constraints,
-        &full,
-        &target,
-        &source,
-        &registry,
-        &tight.with_join_order(JoinOrder::SourceOrder),
-    );
-    assert_eq!(pinned.skipped.len(), 1, "source order must blow the same budget");
+    assert!(result.converged);
+    assert_eq!(result.target.get("Out").len(), 10);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Concurrency suite for the shared catalog: N threads fire a seeded random
 //! mix of compose / invalidate / re-register / edit operations at one
 //! [`SharedSession`], and every observable outcome must be byte-identical
-//! to a single-threaded replay of the same per-thread operation sequences
-//! on a plain [`Session`]. The generator runs on the deterministic `rand`
+//! to a sequential replay of the same per-thread operation sequences on a
+//! one-worker [`SharedSession`]. The generator runs on the deterministic `rand`
 //! shim, so a failing interleaving reproduces from its printed thread seed.
 //!
 //! Deliberately *not* compared: schedule-dependent instrumentation such as
@@ -17,9 +17,7 @@
 // panicking on a surprise is exactly what a test should do.
 #![allow(clippy::unwrap_used)]
 
-use mapping_composition::catalog::{
-    save_state, Session, SharedSession, SidecarWriter, VersionManifest,
-};
+use mapping_composition::catalog::{save_state, SharedSession, SidecarWriter, VersionManifest};
 use mapping_composition::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -115,42 +113,9 @@ fn render_compose(result: &mapping_composition::catalog::ChainResult) -> String 
     )
 }
 
-/// Apply one op through the concurrent session; returns the outcome line.
+/// Apply one op through a session; returns the outcome line. The
+/// concurrent run and the sequential replay both go through here.
 fn apply_shared(session: &SharedSession, thread: usize, op: &Op, edits: &mut usize) -> String {
-    match op {
-        Op::ComposeSpan(i, j) => {
-            let result = session.compose_path(&format!("v{i}"), &format!("v{j}")).unwrap();
-            format!("compose v{i}->v{j} {}", render_compose(&result))
-        }
-        Op::Invalidate(k) => {
-            session.invalidate(&format!("m{k}"));
-            format!("invalidate m{k}")
-        }
-        Op::ReAdd(k) => {
-            let version = session
-                .add_mapping(
-                    format!("m{k}"),
-                    &format!("v{k}"),
-                    &format!("v{}", k + 1),
-                    parse_constraints(&format!("R{k} <= R{}", k + 1)).unwrap(),
-                )
-                .unwrap();
-            format!("readd m{k} v{version}")
-        }
-        Op::PrivateEdit => {
-            let constraints = private_variant(thread, *edits);
-            *edits += 1;
-            let (version, _) = session.update_mapping(&format!("tm{thread}"), constraints).unwrap();
-            let result =
-                session.compose_path(&format!("t{thread}a"), &format!("t{thread}b")).unwrap();
-            format!("edit tm{thread} v{version} {}", render_compose(&result))
-        }
-    }
-}
-
-/// Apply one op through the single-threaded replay session; must produce
-/// the identical outcome line.
-fn apply_replay(session: &mut Session, thread: usize, op: &Op, edits: &mut usize) -> String {
     match op {
         Op::ComposeSpan(i, j) => {
             let result = session.compose_path(&format!("v{i}"), &format!("v{j}")).unwrap();
@@ -225,13 +190,13 @@ fn concurrent_stress_matches_single_threaded_replay() {
         handles.into_iter().map(|handle| handle.join().expect("stress worker panicked")).collect()
     });
 
-    // (a) Byte-identical outcomes under a single-threaded replay of the same
+    // (a) Byte-identical outcomes under a sequential replay of the same
     // per-thread sequences.
-    let mut replay = Session::new(catalog);
+    let replay = SharedSession::new(catalog, 1);
     for (thread, thread_outcomes) in outcomes.iter().enumerate() {
         let mut edits = 0usize;
         for (index, op) in thread_ops(thread).iter().enumerate() {
-            let expected = apply_replay(&mut replay, thread, op, &mut edits);
+            let expected = apply_shared(&replay, thread, op, &mut edits);
             assert_eq!(
                 thread_outcomes[index],
                 expected,
@@ -244,13 +209,14 @@ fn concurrent_stress_matches_single_threaded_replay() {
     // (b) Version counters agree entry-for-entry, and the merged cache
     // statistics are self-consistent (no lost increments).
     let snapshot = shared.catalog().snapshot();
-    for entry in replay.catalog().mappings() {
+    let replayed = replay.catalog().snapshot();
+    for entry in replayed.mappings() {
         let concurrent = snapshot.mapping(&entry.name).unwrap();
         assert_eq!(concurrent.version, entry.version, "version mismatch on {}", entry.name);
         assert_eq!(concurrent.hash, entry.hash, "hash mismatch on {}", entry.name);
         assert_eq!(concurrent.history, entry.history, "history mismatch on {}", entry.name);
     }
-    assert_eq!(snapshot.mapping_count(), replay.catalog().mapping_count());
+    assert_eq!(snapshot.mapping_count(), replayed.mapping_count());
     let stats = shared.stats();
     assert_eq!(stats.chains_composed, stats.paths_resolved, "every resolved path was composed");
     let cache = stats.cache;

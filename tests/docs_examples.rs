@@ -332,7 +332,7 @@ fn replication_doc_state_table_matches_the_api() {
 
 #[test]
 fn analysis_doc_reports_render_identically() {
-    use mapping_composition::catalog::{Catalog, Session};
+    use mapping_composition::catalog::{Catalog, SharedSession};
 
     let doc = read_doc("ANALYSIS.md");
     let documents = marked_blocks(&doc, "analysis:document");
@@ -341,7 +341,7 @@ fn analysis_doc_reports_render_identically() {
     assert!(documents.len() >= 2, "ANALYSIS.md must keep its proven and unknown examples");
     for (document, expected) in documents.iter().zip(&reports) {
         let parsed = parse_document(document).expect("documented catalog document parses");
-        let mut session = Session::new(Catalog::new());
+        let session = SharedSession::new(Catalog::new(), 1);
         session.ingest_document(&parsed).expect("documented catalog document ingests");
         let rendered = session.analysis_text(None).expect("analysis renders");
         assert_eq!(&rendered, expected, "documented analysis report must match the renderer");
@@ -457,7 +457,7 @@ fn observability_doc_metric_catalog_matches_the_registry() {
     use mapping_composition::catalog::{Catalog, SessionConfig, SidecarWriter};
     use mapping_composition::compose::{exchange, ExchangeConfig, Registry};
     use mapping_composition::replication::ReplicationHub;
-    use mapping_composition::service::{Follower, LocalService, Server};
+    use mapping_composition::service::{EventServer, Follower, LocalService};
     use mapping_composition::telemetry::metrics::global;
 
     let doc = read_doc("OBSERVABILITY.md");
@@ -483,7 +483,7 @@ fn observability_doc_metric_catalog_matches_the_registry() {
     // catalog registers on the global registry (registration is eager at
     // component construction; the chase registers on first run).
     let _service = LocalService::new(Catalog::new(), 2);
-    let _server = Server::bind("127.0.0.1:0").expect("loopback bind");
+    let _server = EventServer::bind("127.0.0.1:0").expect("loopback bind");
     let _sidecar = SidecarWriter::new(std::env::temp_dir().join("mapcomp-docs-metrics.sidecar"));
     // The leader-side replication families register on hub construction,
     // the lag gauge on follower construction (no connection is dialled).

@@ -16,14 +16,14 @@ use mapping_composition::catalog::{
 };
 use mapping_composition::compose::Registry;
 use mapping_composition::service::{
-    sidecar_path, LocalService, MapcompService as _, PersistMode, PersistPolicy, Request, Response,
+    sidecar_path, LocalService, MapcompService as _, PersistPolicy, Request, Response,
 };
 
 /// Incremental persistence with threshold compaction disabled, so every
 /// state-changing request appends exactly one chunk and the tests control
 /// compaction explicitly.
 fn policy() -> PersistPolicy {
-    PersistPolicy { mode: PersistMode::Incremental, compact_appends: None, compact_bytes: None }
+    PersistPolicy { compact_appends: None, compact_bytes: None }
 }
 
 fn temp_catalog(tag: &str) -> std::path::PathBuf {

@@ -24,7 +24,7 @@ use mapping_composition::catalog::{
 use mapping_composition::compose::Registry;
 use mapping_composition::service::{
     sidecar_path, Client, ErrorCode, EventServer, Follower, LocalService, MapcompService as _,
-    PersistMode, PersistPolicy, Request, Response,
+    PersistPolicy, Request, Response,
 };
 
 /// One test at a time: they share the process-global metrics registry and
@@ -38,7 +38,7 @@ fn serial() -> MutexGuard<'static, ()> {
 /// Threshold compaction disabled, so tests control generation boundaries
 /// explicitly.
 fn policy() -> PersistPolicy {
-    PersistPolicy { mode: PersistMode::Incremental, compact_appends: None, compact_bytes: None }
+    PersistPolicy { compact_appends: None, compact_bytes: None }
 }
 
 /// The path `temp_catalog` produces for `tag`, without cleaning anything.

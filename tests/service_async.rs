@@ -106,10 +106,10 @@ fn send_shutdown(addr: &str) {
 
 #[test]
 fn pipelined_replies_are_byte_identical_to_sequential_round_trips() {
-    // Three identically seeded servers, so per-request cache counters in
-    // the payloads evolve identically: sequential over the event engine,
-    // pipelined over the event engine, pipelined over the threaded engine.
-    // All three reply streams must match byte for byte.
+    // Two identically seeded servers, so per-request cache counters in the
+    // payloads evolve identically: one answers lock-step round trips, the
+    // other one pipelined burst. Both reply streams must match byte for
+    // byte.
     let requests = pipeline_requests();
 
     let sequential = {
@@ -138,34 +138,18 @@ fn pipelined_replies_are_byte_identical_to_sequential_round_trips() {
         frames.unwrap()
     };
 
-    let pipelined_threaded = {
-        let backend = chain_backend(4);
-        let server = Server::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let mut frames = None;
-        std::thread::scope(|scope| {
-            scope.spawn(|| server.run(&backend, 2).unwrap());
-            frames = Some(run_pipelined(&addr, &requests));
-            send_shutdown(&addr);
-        });
-        frames.unwrap()
-    };
-
     assert_eq!(sequential.len(), requests.len());
     for (index, (seq, pipe)) in sequential.iter().zip(&pipelined_event).enumerate() {
         assert_eq!(seq, pipe, "reply {index}: event-engine pipeline diverged from sequential");
-    }
-    for (index, (seq, pipe)) in sequential.iter().zip(&pipelined_threaded).enumerate() {
-        assert_eq!(seq, pipe, "reply {index}: threaded-engine pipeline diverged from sequential");
     }
 }
 
 #[test]
 fn a_thousand_idle_connections_do_not_starve_compose_traffic() {
-    // Slow loris: 1024 connections held open without sending a byte. The
-    // threaded engine would pin a worker per connection and deadlock at
-    // `workers` of them; the event engine must keep serving composes with
-    // a 4-thread CPU pool.
+    // Slow loris: 1024 connections held open without sending a byte. A
+    // thread-per-connection server would pin a worker per connection and
+    // deadlock at `workers` of them; the event engine must keep serving
+    // composes with a 4-thread CPU pool.
     const IDLE: usize = 1024;
     let backend = chain_backend(6);
     let server = EventServer::bind("127.0.0.1:0").unwrap();

@@ -172,8 +172,8 @@ pub fn compose_pair(
 
 /// Compose a chain of catalog mappings (given by name, adjacent pairs must
 /// share a schema), reusing and populating the memo cache. Several workers
-/// may fold chains over one lock-striped store and one sharded cache at the
-/// same time: cache entries may be evicted or invalidated by other workers
+/// may fold chains over one `RwLock`-guarded store and one sharded cache at
+/// the same time: cache entries may be evicted or invalidated by other workers
 /// between the probe and the fetch, and the driver then degrades to
 /// recomposing the affected run.
 pub fn compose_chain_with<C: ChainCache + ?Sized>(
@@ -321,7 +321,7 @@ mod tests {
         config: &ComposeConfig,
         options: &ChainOptions,
     ) -> Result<ChainResult, CatalogError> {
-        let store = SharedCatalog::from_catalog(catalog, 1);
+        let store = SharedCatalog::new(catalog.clone());
         compose_chain_with(&store, cache, names, &Registry::standard(), config, options)
     }
 

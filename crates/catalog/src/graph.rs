@@ -37,11 +37,6 @@ pub fn edge_cost(constraints: &ConstraintSet) -> u64 {
     1 + constraints.op_count() as u64
 }
 
-/// A weighted composition-graph edge: `(mapping, source schema, target
-/// schema, weight)` — the snapshot form consumed by
-/// [`resolve_path_costed_in`].
-pub type WeightedEdge = (String, String, String, u64);
-
 /// Resolve a fewest-hops path of mapping names from `from` to `to`.
 ///
 /// Returns [`CatalogError::EmptyPath`] when `from == to` (there is nothing to
@@ -59,37 +54,6 @@ pub fn resolve_path(catalog: &Catalog, from: &str, to: &str) -> Result<Vec<Strin
             continue; // self-loops never shorten a path
         }
         adjacency.entry(&entry.source).or_default().push((&entry.name, &entry.target));
-    }
-    bfs(&adjacency, from, to)
-}
-
-/// Resolve a fewest-hops path over an explicit edge snapshot — the form the
-/// concurrent shared catalog uses, where the graph is captured once under
-/// the shard read locks and then searched without holding any lock.
-///
-/// `schemas` must list every registered schema name (for existence checks);
-/// `edges` holds `(mapping, source schema, target schema)` triples in any
-/// order (ties are broken by mapping name, as in [`resolve_path`]).
-pub fn resolve_path_in(
-    schemas: &BTreeSet<String>,
-    edges: &[(String, String, String)],
-    from: &str,
-    to: &str,
-) -> Result<Vec<String>, CatalogError> {
-    for name in [from, to] {
-        if !schemas.contains(name) {
-            return Err(CatalogError::UnknownSchema(name.to_string()));
-        }
-    }
-    let mut adjacency: BTreeMap<&str, Vec<(&str, &str)>> = BTreeMap::new();
-    for (name, source, target) in edges {
-        if source == target {
-            continue; // self-loops never shorten a path
-        }
-        adjacency.entry(source.as_str()).or_default().push((name.as_str(), target.as_str()));
-    }
-    for targets in adjacency.values_mut() {
-        targets.sort();
     }
     bfs(&adjacency, from, to)
 }
@@ -122,38 +86,6 @@ pub fn resolve_path_with(
             dijkstra(&adjacency, from, to)
         }
     }
-}
-
-/// Resolve a cheapest path over an explicit weighted edge snapshot — the
-/// form the concurrent shared catalog uses for [`PathCost::OpCount`].
-/// `edges` holds `(mapping, source schema, target schema, weight)` tuples in
-/// any order; ties are broken by fewest hops, then mapping name.
-pub fn resolve_path_costed_in(
-    schemas: &BTreeSet<String>,
-    edges: &[WeightedEdge],
-    from: &str,
-    to: &str,
-) -> Result<Vec<String>, CatalogError> {
-    for name in [from, to] {
-        if !schemas.contains(name) {
-            return Err(CatalogError::UnknownSchema(name.to_string()));
-        }
-    }
-    let mut adjacency: BTreeMap<&str, Vec<(&str, &str, u64)>> = BTreeMap::new();
-    for (name, source, target, weight) in edges {
-        if source == target {
-            continue; // self-loops never cheapen a path
-        }
-        adjacency.entry(source.as_str()).or_default().push((
-            name.as_str(),
-            target.as_str(),
-            *weight,
-        ));
-    }
-    for targets in adjacency.values_mut() {
-        targets.sort();
-    }
-    dijkstra(&adjacency, from, to)
 }
 
 /// Deterministic Dijkstra over a weighted adjacency map: the frontier is a
@@ -254,30 +186,6 @@ fn bfs(
     }
     path.reverse();
     Ok(path)
-}
-
-/// All schemas reachable from `from` (excluding `from` itself), with the
-/// fewest-hops distance — the catalog's "what can I compose to?" query.
-pub fn reachable(catalog: &Catalog, from: &str) -> Result<BTreeMap<String, usize>, CatalogError> {
-    catalog.schema(from)?;
-    let mut adjacency: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for entry in catalog.mappings() {
-        adjacency.entry(&entry.source).or_default().push(&entry.target);
-    }
-    let mut distance: BTreeMap<String, usize> = BTreeMap::new();
-    let mut queue: VecDeque<(&str, usize)> = VecDeque::new();
-    queue.push_back((from, 0));
-    while let Some((node, hops)) = queue.pop_front() {
-        let Some(edges) = adjacency.get(node) else { continue };
-        for next in edges {
-            if *next == from || distance.contains_key(*next) {
-                continue;
-            }
-            distance.insert(next.to_string(), hops + 1);
-            queue.push_back((next, hops + 1));
-        }
-    }
-    Ok(distance)
 }
 
 #[cfg(test)]
@@ -395,59 +303,27 @@ mod tests {
 
     #[test]
     fn costed_resolution_matches_bfs_on_uniform_weights() {
+        // Empty constraint sets weigh 1 each, so op-count resolution is BFS.
         let catalog = chain_catalog(5);
-        let schemas: BTreeSet<String> = catalog.schemas().map(|entry| entry.name.clone()).collect();
-        let edges: Vec<(String, String, String, u64)> = catalog
-            .mappings()
-            .map(|entry| (entry.name.clone(), entry.source.clone(), entry.target.clone(), 1))
-            .collect();
-        assert_eq!(
-            resolve_path_costed_in(&schemas, &edges, "s0", "s4").unwrap(),
-            resolve_path(&catalog, "s0", "s4").unwrap()
-        );
-        assert!(matches!(
-            resolve_path_costed_in(&schemas, &edges, "s4", "s0"),
-            Err(CatalogError::NoPath { .. })
-        ));
-        assert!(matches!(
-            resolve_path_costed_in(&schemas, &edges, "s1", "s1"),
-            Err(CatalogError::EmptyPath { .. })
-        ));
-        assert!(matches!(
-            resolve_path_costed_in(&schemas, &edges, "s0", "nope"),
-            Err(CatalogError::UnknownSchema(_))
-        ));
+        let by_cost = |from, to| resolve_path_with(&catalog, from, to, PathCost::OpCount);
+        assert_eq!(by_cost("s0", "s4").unwrap(), resolve_path(&catalog, "s0", "s4").unwrap());
+        assert!(matches!(by_cost("s4", "s0"), Err(CatalogError::NoPath { .. })));
+        assert!(matches!(by_cost("s1", "s1"), Err(CatalogError::EmptyPath { .. })));
+        assert!(matches!(by_cost("s0", "nope"), Err(CatalogError::UnknownSchema(_))));
     }
 
     #[test]
     fn costed_ties_break_by_hops_then_name() {
-        let mut catalog = chain_catalog(3);
-        // A direct edge whose weight equals the 2-hop chain's total: fewer
-        // hops wins the tie.
-        catalog.add_mapping("direct", "s0", "s2", ConstraintSet::new()).unwrap();
-        let schemas: BTreeSet<String> = catalog.schemas().map(|entry| entry.name.clone()).collect();
-        let mut edges: Vec<(String, String, String, u64)> = catalog
-            .mappings()
-            .map(|entry| (entry.name.clone(), entry.source.clone(), entry.target.clone(), 1))
-            .collect();
-        for edge in &mut edges {
-            if edge.0 == "direct" {
-                edge.3 = 2;
-            }
-        }
-        assert_eq!(resolve_path_costed_in(&schemas, &edges, "s0", "s2").unwrap(), vec!["direct"]);
+        use mapcomp_algebra::parse_constraints;
+        let mut catalog = chain_catalog(4);
+        // A direct edge weighing 1 + 2 operators ties the 3-hop chain of
+        // empty mappings: fewer hops wins the tie.
+        let copy = || parse_constraints("R0 <= R3").unwrap();
+        catalog.add_mapping("direct", "s0", "s3", copy()).unwrap();
+        let by_cost = |catalog: &Catalog| resolve_path_with(catalog, "s0", "s3", PathCost::OpCount);
+        assert_eq!(by_cost(&catalog).unwrap(), vec!["direct"]);
         // An equal-cost, equal-hops alternative with an earlier name wins.
-        edges.push(("adirect".to_string(), "s0".to_string(), "s2".to_string(), 2));
-        assert_eq!(resolve_path_costed_in(&schemas, &edges, "s0", "s2").unwrap(), vec!["adirect"]);
-    }
-
-    #[test]
-    fn reachability_reports_distances() {
-        let catalog = chain_catalog(4);
-        let reach = reachable(&catalog, "s0").unwrap();
-        assert_eq!(reach.get("s1"), Some(&1));
-        assert_eq!(reach.get("s3"), Some(&3));
-        assert_eq!(reach.get("s0"), None);
-        assert!(reachable(&catalog, "s3").unwrap().is_empty());
+        catalog.add_mapping("adirect", "s0", "s3", copy()).unwrap();
+        assert_eq!(by_cost(&catalog).unwrap(), vec!["adirect"]);
     }
 }

@@ -26,7 +26,7 @@
 //!   the Figure-2-style editing scenario re-expressed as incremental
 //!   recomposition (one pairwise composition per edit, not a full re-fold).
 //! * [`shared`] — the session API tying the pieces together: the
-//!   lock-striped [`SharedCatalog`] and the [`SharedSession`], with its
+//!   `RwLock`-guarded [`SharedCatalog`] and the [`SharedSession`], with its
 //!   instrumented pairwise-composition counter and parallel batch API. One
 //!   session type serves both single-threaded callers (one worker) and
 //!   concurrent ones.
@@ -43,11 +43,11 @@
 //! A session's workers share three structures, each with its own locking
 //! discipline (details in the [`shared`] module docs):
 //!
-//! * the **store** is striped into `RwLock` shards keyed by the content hash
-//!   of the entry name — the compose read path (path resolution, chain
-//!   materialisation) takes only read locks and never serialises readers;
-//!   multi-shard writers acquire locks in ascending shard order, so
-//!   deadlock is impossible;
+//! * the **store** is one [`Catalog`] behind one `RwLock` — the compose
+//!   read path (path resolution, chain materialisation) takes only the read
+//!   guard and never serialises readers; a mutation and the rehash it
+//!   causes happen under one write guard, and no guard is held across a
+//!   call that locks again, so deadlock is impossible;
 //! * the **memo cache** is striped into per-segment mutex-guarded LRU
 //!   segments keyed by memo-key hash ([`cache::ShardedMemoCache`]), with
 //!   cumulative statistics merged atomically across segments;
@@ -100,10 +100,7 @@ pub use cache::{
 };
 pub use chain::{compose_chain_with, compose_pair, ChainOptions, ChainResult, ComposedChain};
 pub use error::CatalogError;
-pub use graph::{
-    edge_cost, reachable, resolve_path, resolve_path_costed_in, resolve_path_in, resolve_path_with,
-    PathCost,
-};
+pub use graph::{edge_cost, resolve_path, resolve_path_with, PathCost};
 pub use hash::{hash_config, hash_mapping, hash_signature, ContentHash};
 pub use lock::{pid_alive, FileLock, FileLockGuard};
 pub use persist::{

@@ -1,28 +1,28 @@
-//! Concurrent shared-catalog sessions: a lock-striped store and a parallel
-//! batch-composition session, safe to share by reference across threads.
+//! Concurrent shared-catalog sessions: one reader-writer-locked store and a
+//! parallel batch-composition session, safe to share by reference across
+//! threads.
 //!
 //! # Concurrency model
 //!
-//! * **Store** — [`SharedCatalog`] stripes schemas and mappings across N
-//!   shards keyed by the FNV content hash of the entry name, each behind a
-//!   [`RwLock`]. Lookups and chain materialisation take single-shard *read*
-//!   locks, so the compose read path never serialises readers. Mapping
-//!   registration write-locks only the shards involved (acquired in
-//!   ascending shard order — the global lock discipline that makes deadlock
-//!   impossible); schema updates write-lock every shard because they rehash
-//!   the mappings that mention the schema, wherever those live.
-//! * **Snapshots** — path resolution captures the composition graph under
-//!   all shard read locks at once (readers still proceed concurrently) and
-//!   then searches without holding any lock. Chain materialisation re-checks
-//!   the entry's content hash after reading its schemas and retries on a
-//!   mismatch, so a torn read across an interleaved schema edit can never
-//!   produce a segment whose hash disagrees with its content.
-//! * **Versions** — version counters live inside the entries and are only
-//!   advanced under the shard write locks, so concurrent writers cannot
-//!   lose increments.
+//! * **Store** — [`SharedCatalog`] is one [`Catalog`] behind one
+//!   [`RwLock`]. Every method takes the guard once, delegates to the
+//!   [`Catalog`] or [`crate::graph`] rule it needs and drops the guard
+//!   before returning, so versioning, hashing and path resolution are
+//!   written once, in [`crate::store`] and [`crate::graph`]. Reads (path
+//!   resolution, chain materialisation, lookups) share the lock; a mutation
+//!   and the rehash of every mapping it touches happen under one write
+//!   guard, so no reader ever sees an entry whose hash disagrees with its
+//!   content.
+//! * **No nested guards** — std's `RwLock` queues new readers behind a
+//!   waiting writer, so a thread that holds a guard and asks for another
+//!   would deadlock against any writer. No guard is ever held across a call
+//!   that locks again: mutations return what the session needs (touched
+//!   names, before/after hashes) and the session invalidates after the
+//!   guard is gone.
 //! * **Cache** — the memo cache is a [`ShardedMemoCache`]: per-segment
 //!   mutexes keyed by memo-key hash, merged statistics (see
-//!   [`crate::cache`]).
+//!   [`crate::cache`]). Its mutexes are exclusive, so striping is what lets
+//!   workers probe it in parallel.
 //! * **Sidecar** — persistence goes through
 //!   [`crate::persist::SidecarWriter`]: a single-writer append protocol
 //!   with a mutex-guarded flush; readers never block (they read a plain
@@ -40,15 +40,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use mapcomp_algebra::{ConstraintSet, Document, Instance, Mapping, Signature};
+use mapcomp_algebra::{ConstraintSet, Document, Instance, Signature};
 use mapcomp_analysis::{AnalysisReport, Termination};
 use mapcomp_compose::{ComposeConfig, ExchangeConfig, ExchangeResult, Registry};
 
 use crate::cache::{CacheStats, ShardedMemoCache};
 use crate::chain::{compose_chain_with, ChainOptions, ChainResult, ComposedChain};
 use crate::error::CatalogError;
-use crate::graph::{edge_cost, resolve_path_costed_in, resolve_path_in, PathCost};
-use crate::hash::{hash_mapping, hash_signature, hash_str, ContentHash};
+use crate::graph::{resolve_path_with, PathCost};
+use crate::hash::ContentHash;
 use crate::store::{Catalog, MappingEntry, SchemaEntry};
 
 /// Configuration of a session.
@@ -146,335 +146,101 @@ pub struct SessionStats {
     pub cache_entries: usize,
 }
 
-/// One stripe of the shared store.
+/// A [`Catalog`] behind one reader-writer lock, safe to share by reference
+/// between concurrent sessions. Every method takes the guard once and never
+/// calls back into the store while holding it (see the module docs).
+/// Mutations go through [`SharedSession`], which pairs each one with cache
+/// invalidation.
 #[derive(Debug, Default)]
-struct Shard {
-    schemas: BTreeMap<String, SchemaEntry>,
-    mappings: BTreeMap<String, MappingEntry>,
-}
-
-fn read(shard: &RwLock<Shard>) -> RwLockReadGuard<'_, Shard> {
-    shard.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write(shard: &RwLock<Shard>) -> RwLockWriteGuard<'_, Shard> {
-    shard.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A catalog striped across independently reader-writer-locked shards, safe
-/// to share by reference between concurrent sessions. See the module docs
-/// for the locking discipline.
-#[derive(Debug)]
 pub struct SharedCatalog {
-    shards: Vec<RwLock<Shard>>,
+    inner: RwLock<Catalog>,
 }
 
 impl SharedCatalog {
-    /// Stripe a catalog across `shard_count` shards (at least one).
-    pub fn from_catalog(catalog: &Catalog, shard_count: usize) -> Self {
-        let shard_count = shard_count.max(1);
-        let mut shards: Vec<Shard> = (0..shard_count).map(|_| Shard::default()).collect();
-        for entry in catalog.schemas() {
-            let shard = shard_index(&entry.name, shard_count);
-            shards[shard].schemas.insert(entry.name.clone(), entry.clone());
-        }
-        for entry in catalog.mappings() {
-            let shard = shard_index(&entry.name, shard_count);
-            shards[shard].mappings.insert(entry.name.clone(), entry.clone());
-        }
-        SharedCatalog { shards: shards.into_iter().map(RwLock::new).collect() }
+    /// Share `catalog`.
+    pub fn new(catalog: Catalog) -> Self {
+        SharedCatalog { inner: RwLock::new(catalog) }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    fn read(&self) -> RwLockReadGuard<'_, Catalog> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn shard_of(&self, name: &str) -> &RwLock<Shard> {
-        &self.shards[shard_index(name, self.shards.len())]
+    fn write(&self) -> RwLockWriteGuard<'_, Catalog> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of registered schemas.
     pub fn schema_count(&self) -> usize {
-        self.shards.iter().map(|shard| read(shard).schemas.len()).sum()
+        self.read().schema_count()
     }
 
     /// Number of registered mappings.
     pub fn mapping_count(&self) -> usize {
-        self.shards.iter().map(|shard| read(shard).mappings.len()).sum()
+        self.read().mapping_count()
     }
 
-    /// Look up a schema (cloned out of its shard under a read lock).
+    /// Look up a schema (cloned out under the read guard).
     pub fn schema(&self, name: &str) -> Result<SchemaEntry, CatalogError> {
-        read(self.shard_of(name))
-            .schemas
-            .get(name)
-            .cloned()
-            .ok_or_else(|| CatalogError::UnknownSchema(name.to_string()))
+        self.read().schema(name).cloned()
     }
 
-    /// Look up a mapping (cloned out of its shard under a read lock).
+    /// Look up a mapping (cloned out under the read guard).
     pub fn mapping(&self, name: &str) -> Result<MappingEntry, CatalogError> {
-        read(self.shard_of(name))
-            .mappings
-            .get(name)
-            .cloned()
-            .ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))
+        self.read().mapping(name).cloned()
     }
 
-    /// Register or update a schema; returns the new version and the names of
-    /// mappings whose content hash changed with it (the caller invalidates
-    /// their cache entries). Holds every shard write lock for the duration:
-    /// the schema edit and the rehash of every touching mapping are one
-    /// atomic step, which is what lets readers treat an entry's
-    /// hash-vs-schema consistency check as a retry condition rather than an
-    /// error.
-    pub fn add_schema(&self, name: impl Into<String>, signature: Signature) -> (u64, Vec<String>) {
-        let name = name.into();
-        let hash = hash_signature(&signature);
-        let mut guards: Vec<RwLockWriteGuard<'_, Shard>> = self.shards.iter().map(write).collect();
-        let home = shard_index(&name, guards.len());
-        let version = match guards[home].schemas.get(&name) {
-            Some(existing) if existing.hash == hash => return (existing.version, Vec::new()),
-            Some(existing) => existing.version + 1,
-            None => 1,
-        };
-        guards[home]
-            .schemas
-            .insert(name.clone(), SchemaEntry { name: name.clone(), signature, version, hash });
-        // Rehash affected mappings across every shard.
-        let schema_sigs: BTreeMap<String, Signature> = guards
-            .iter()
-            .flat_map(|guard| guard.schemas.iter().map(|(n, e)| (n.clone(), e.signature.clone())))
-            .collect();
-        let mut touched = Vec::new();
-        for guard in &mut guards {
-            for entry in guard.mappings.values_mut() {
-                if entry.source != name && entry.target != name {
-                    continue;
-                }
-                let (Some(source), Some(target)) =
-                    (schema_sigs.get(&entry.source), schema_sigs.get(&entry.target))
-                else {
-                    continue;
-                };
-                let new_hash = hash_mapping(source, target, &entry.constraints);
-                if new_hash != entry.hash {
-                    entry.version += 1;
-                    entry.hash = new_hash;
-                    entry.history.push((entry.version, new_hash));
-                    touched.push(entry.name.clone());
-                }
-            }
-        }
-        touched.sort();
-        (version, touched)
-    }
-
-    /// Register or update a mapping between two registered schemas; returns
-    /// the new version (re-registering identical content is a no-op).
-    /// Write-locks only the shards of the mapping and its two schemas, in
-    /// ascending shard order.
-    pub fn add_mapping(
-        &self,
-        name: impl Into<String>,
-        source: &str,
-        target: &str,
-        constraints: ConstraintSet,
-    ) -> Result<u64, CatalogError> {
-        let name = name.into();
-        let shard_count = self.shards.len();
-        let mut involved: Vec<usize> =
-            [name.as_str(), source, target].iter().map(|n| shard_index(n, shard_count)).collect();
-        involved.sort_unstable();
-        involved.dedup();
-        let guards: BTreeMap<usize, RwLockWriteGuard<'_, Shard>> =
-            involved.iter().map(|&index| (index, write(&self.shards[index]))).collect();
-        let schema_sig = |schema: &str| -> Result<Signature, CatalogError> {
-            guards[&shard_index(schema, shard_count)]
-                .schemas
-                .get(schema)
-                .map(|entry| entry.signature.clone())
-                .ok_or_else(|| CatalogError::UnknownSchema(schema.to_string()))
-        };
-        let source_sig = schema_sig(source)?;
-        let target_sig = schema_sig(target)?;
-        let _combined = source_sig.union(&target_sig)?;
-        let hash = hash_mapping(&source_sig, &target_sig, &constraints);
-        let home = shard_index(&name, shard_count);
-        let mut guards = guards;
-        let shard = guards.get_mut(&home).expect("home shard locked");
-        let (version, mut history) = match shard.mappings.get(&name) {
-            Some(existing) if existing.hash == hash => return Ok(existing.version),
-            Some(existing) => (existing.version + 1, existing.history.clone()),
-            None => (1, Vec::new()),
-        };
-        history.push((version, hash));
-        shard.mappings.insert(
-            name.clone(),
-            MappingEntry {
-                name,
-                source: source.to_string(),
-                target: target.to_string(),
-                constraints,
-                version,
-                hash,
-                history,
-            },
-        );
-        Ok(version)
-    }
-
-    /// Replace the constraints of an existing mapping; returns the new
-    /// version.
-    pub fn update_mapping(
-        &self,
-        name: &str,
-        constraints: ConstraintSet,
-    ) -> Result<u64, CatalogError> {
-        let entry = self.mapping(name)?;
-        self.add_mapping(name.to_string(), &entry.source, &entry.target, constraints)
-    }
-
-    /// Remove a mapping; returns its entry if it existed.
-    pub fn remove_mapping(&self, name: &str) -> Option<MappingEntry> {
-        write(self.shard_of(name)).mappings.remove(name)
-    }
-
-    /// Capture the composition graph — every schema name and every
-    /// `(mapping, source, target)` edge — under all shard read locks at
-    /// once, so the snapshot is consistent; the search then runs lock-free.
-    pub fn graph_snapshot(&self) -> (BTreeSet<String>, Vec<(String, String, String)>) {
-        let guards: Vec<RwLockReadGuard<'_, Shard>> = self.shards.iter().map(read).collect();
-        let mut schemas = BTreeSet::new();
-        let mut edges = Vec::new();
-        for guard in &guards {
-            schemas.extend(guard.schemas.keys().cloned());
-            for entry in guard.mappings.values() {
-                edges.push((entry.name.clone(), entry.source.clone(), entry.target.clone()));
-            }
-        }
-        edges.sort();
-        (schemas, edges)
-    }
-
-    /// Resolve a fewest-hops path over a consistent graph snapshot.
-    pub fn resolve_path(&self, from: &str, to: &str) -> Result<Vec<String>, CatalogError> {
-        let (schemas, edges) = self.graph_snapshot();
-        resolve_path_in(&schemas, &edges, from, to)
-    }
-
-    /// Capture the composition graph with per-edge operator-count weights
-    /// (see [`edge_cost`]), under all shard read locks at once.
-    pub fn graph_snapshot_costed(&self) -> (BTreeSet<String>, Vec<crate::graph::WeightedEdge>) {
-        let guards: Vec<RwLockReadGuard<'_, Shard>> = self.shards.iter().map(read).collect();
-        let mut schemas = BTreeSet::new();
-        let mut edges = Vec::new();
-        for guard in &guards {
-            schemas.extend(guard.schemas.keys().cloned());
-            for entry in guard.mappings.values() {
-                edges.push((
-                    entry.name.clone(),
-                    entry.source.clone(),
-                    entry.target.clone(),
-                    edge_cost(&entry.constraints),
-                ));
-            }
-        }
-        edges.sort();
-        (schemas, edges)
-    }
-
-    /// Resolve a path under an explicit [`PathCost`] over a consistent graph
-    /// snapshot.
+    /// Resolve a path under an explicit [`PathCost`] (see
+    /// [`crate::graph::resolve_path_with`]), searching the catalog in place
+    /// under the read guard.
     pub fn resolve_path_with(
         &self,
         from: &str,
         to: &str,
         cost: PathCost,
     ) -> Result<Vec<String>, CatalogError> {
-        match cost {
-            PathCost::Hops => self.resolve_path(from, to),
-            PathCost::OpCount => {
-                let (schemas, edges) = self.graph_snapshot_costed();
-                resolve_path_costed_in(&schemas, &edges, from, to)
-            }
-        }
+        resolve_path_with(&self.read(), from, to, cost)
     }
 
     /// Replace the entire store content with `catalog` — entries, versions
-    /// and history included — under all shard write locks at once, so
-    /// concurrent readers see either the old state or the new one in full.
-    /// This is the wholesale counterpart of [`SharedCatalog::from_catalog`],
-    /// used when a replication follower adopts a leader snapshot whose
-    /// history its own state has diverged from (version counters must be
-    /// taken verbatim, not re-derived by incremental upserts).
+    /// and history included — in one write, so concurrent readers see either
+    /// the old state or the new one in full. A replication follower uses
+    /// this when it adopts a leader snapshot whose history its own state has
+    /// diverged from (version counters must be taken verbatim, not
+    /// re-derived by incremental upserts).
     pub fn restore(&self, catalog: &Catalog) {
-        let mut guards: Vec<RwLockWriteGuard<'_, Shard>> = self.shards.iter().map(write).collect();
-        for guard in &mut guards {
-            guard.schemas.clear();
-            guard.mappings.clear();
-        }
-        let shard_count = guards.len();
-        for entry in catalog.schemas() {
-            let shard = shard_index(&entry.name, shard_count);
-            guards[shard].schemas.insert(entry.name.clone(), entry.clone());
-        }
-        for entry in catalog.mappings() {
-            let shard = shard_index(&entry.name, shard_count);
-            guards[shard].mappings.insert(entry.name.clone(), entry.clone());
-        }
+        let catalog = catalog.clone();
+        *self.write() = catalog;
     }
 
-    /// Clone the whole store back into a single-threaded [`Catalog`]
-    /// (versions and history preserved), taken under all shard read locks.
+    /// Clone the whole store into a plain [`Catalog`] (versions and history
+    /// preserved).
     pub fn snapshot(&self) -> Catalog {
-        let guards: Vec<RwLockReadGuard<'_, Shard>> = self.shards.iter().map(read).collect();
-        let mut catalog = Catalog::new();
-        for guard in &guards {
-            for entry in guard.schemas.values() {
-                catalog.insert_schema_entry(entry.clone());
-            }
-            for entry in guard.mappings.values() {
-                catalog.insert_mapping_entry(entry.clone());
-            }
-        }
-        catalog
+        self.read().clone()
     }
-}
 
-impl SharedCatalog {
-    /// Materialise the named mapping as a one-link chain.
+    /// Materialise the named mapping as a one-link chain. The entry and
+    /// both schemas are read under one guard, so the chain's hash always
+    /// matches its content.
     pub fn link(&self, name: &str) -> Result<ComposedChain, CatalogError> {
-        loop {
-            let entry = self.mapping(name)?;
-            let source = self.schema(&entry.source)?;
-            let target = self.schema(&entry.target)?;
-            // The three reads take their shard locks one at a time; an
-            // interleaved schema edit (which rehashes its mappings
-            // atomically) makes the entry's recorded hash disagree with the
-            // content just read — retry until the reads line up.
-            if hash_mapping(&source.signature, &target.signature, &entry.constraints) != entry.hash
-            {
-                continue;
-            }
-            let mapping =
-                Mapping::new(source.signature, target.signature, entry.constraints.clone());
-            return Ok(ComposedChain {
-                source: entry.source,
-                target: entry.target,
-                path: vec![entry.name.clone()],
-                mapping,
-                residual: Signature::new(),
-                hash: entry.hash.0,
-                deps: BTreeSet::from([entry.name]),
-            });
-        }
+        let catalog = self.read();
+        let mapping = catalog.materialize(name)?;
+        let entry = catalog.mapping(name)?;
+        Ok(ComposedChain {
+            source: entry.source.clone(),
+            target: entry.target.clone(),
+            path: vec![entry.name.clone()],
+            mapping,
+            residual: Signature::new(),
+            hash: entry.hash.0,
+            deps: BTreeSet::from([entry.name.clone()]),
+        })
     }
-}
 
-fn shard_index(name: &str, shard_count: usize) -> usize {
-    (hash_str(name) % shard_count as u64) as usize
+    /// Every mapping name, in name order.
+    fn mapping_names(&self) -> Vec<String> {
+        self.read().mappings().map(|entry| entry.name.clone()).collect()
+    }
 }
 
 /// A catalog session: store + graph + chain driver + memo cache, with
@@ -508,8 +274,8 @@ impl SharedSession {
     }
 
     /// Create a shared session with an explicit registry and configuration.
-    /// The store and cache are striped ~4 stripes per worker (bounded), so
-    /// workers composing disjoint chains rarely meet on a lock.
+    /// The cache is striped ~4 segments per worker (bounded), so workers
+    /// composing disjoint chains rarely meet on a cache mutex.
     pub fn with_config(
         catalog: Catalog,
         registry: Registry,
@@ -520,7 +286,7 @@ impl SharedSession {
         let stripes = workers.saturating_mul(4).clamp(4, 64);
         let cache = ShardedMemoCache::new(stripes, config.cache_capacity);
         SharedSession {
-            catalog: SharedCatalog::from_catalog(&catalog, stripes),
+            catalog: SharedCatalog::new(catalog),
             registry,
             config,
             cache,
@@ -583,10 +349,9 @@ impl SharedSession {
     /// Register or update a schema; invalidates cached compositions that
     /// depend on any mapping whose content hash changed with it.
     pub fn add_schema(&self, name: impl Into<String>, signature: Signature) -> u64 {
-        let (version, touched) = self.catalog.add_schema(name, signature);
-        for mapping in touched {
-            self.cache.invalidate(&mapping);
-            self.drop_analysis(&mapping);
+        let (version, touched) = self.catalog.write().add_schema(name, signature);
+        for mapping in &touched {
+            self.invalidate(mapping);
         }
         version
     }
@@ -601,12 +366,15 @@ impl SharedSession {
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
         let name = name.into();
-        let before = self.catalog.mapping(&name).ok().map(|entry| entry.hash);
-        let version = self.catalog.add_mapping(name.clone(), source, target, constraints)?;
-        let after = self.catalog.mapping(&name)?.hash;
-        if before.is_some() && before != Some(after) {
-            self.cache.invalidate(&name);
-            self.drop_analysis(&name);
+        let (version, changed) = {
+            let mut catalog = self.catalog.write();
+            let before = catalog.mapping(&name).ok().map(|entry| entry.hash);
+            let version = catalog.add_mapping(name.clone(), source, target, constraints)?;
+            let after = catalog.mapping(&name)?.hash;
+            (version, before.is_some_and(|hash| hash != after))
+        };
+        if changed {
+            self.invalidate(&name);
         }
         Ok(version)
     }
@@ -618,68 +386,48 @@ impl SharedSession {
         name: &str,
         constraints: ConstraintSet,
     ) -> Result<(u64, usize), CatalogError> {
-        let before = self.catalog.mapping(name)?.hash;
-        let version = self.catalog.update_mapping(name, constraints)?;
-        let dropped = if self.catalog.mapping(name)?.hash != before {
-            self.drop_analysis(name);
-            self.cache.invalidate(name)
-        } else {
-            0
+        let (version, changed) = {
+            let mut catalog = self.catalog.write();
+            let before = catalog.mapping(name)?.hash;
+            let version = catalog.update_mapping(name, constraints)?;
+            (version, catalog.mapping(name)?.hash != before)
         };
+        let dropped = if changed { self.invalidate(name) } else { 0 };
         Ok((version, dropped))
     }
 
     /// Remove a mapping and every cached composition depending on it.
     pub fn remove_mapping(&self, name: &str) -> Result<usize, CatalogError> {
         self.catalog
+            .write()
             .remove_mapping(name)
             .ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))?;
-        self.drop_analysis(name);
-        Ok(self.cache.invalidate(name))
+        Ok(self.invalidate(name))
     }
 
     /// Ingest a parsed document (schemas + mappings), invalidating cache
-    /// entries for every mapping that was added or changed. Returns the
-    /// touched mapping names. Entries are applied
-    /// and invalidated one at a time, so even if a later entry fails (and
+    /// entries and analysis reports for every mapping that was added or
+    /// changed. Returns the touched mapping names. If a later entry fails,
     /// the error propagates with the earlier ones already applied — callers
     /// wanting all-or-nothing should validate against a snapshot first, as
-    /// the service layer does), no applied change ever escapes cache
-    /// invalidation.
+    /// the service layer does — but every applied change is still
+    /// invalidated.
     pub fn ingest_document(&self, document: &Document) -> Result<Vec<String>, CatalogError> {
         let mut touched = Vec::new();
-        for (name, signature) in &document.schemas {
-            let (_, rehashed) = self.catalog.add_schema(name.clone(), signature.clone());
-            for name in rehashed {
-                self.cache.invalidate(&name);
-                touched.push(name);
-            }
+        let applied = self.catalog.write().apply_document(document, &mut touched);
+        for mapping in &touched {
+            self.invalidate(mapping);
         }
-        for (name, (source, target, constraints)) in &document.mappings {
-            let before = self.catalog.mapping(name).ok().map(|entry| entry.hash);
-            let version =
-                self.catalog.add_mapping(name.clone(), source, target, constraints.clone())?;
-            let after = self.catalog.mapping(name)?.hash;
-            if before != Some(after) || version == 1 {
-                self.cache.invalidate(name);
-                self.drop_analysis(name);
-                touched.push(name.clone());
-            }
-        }
-        touched.sort();
-        touched.dedup();
+        applied?;
         Ok(touched)
     }
 
-    /// Explicitly drop cached compositions depending on a mapping; returns
-    /// how many entries were dropped.
+    /// Drop cached compositions and the cached analysis report depending on
+    /// a mapping; returns how many cache entries were dropped. Every
+    /// mutation invalidates through here.
     pub fn invalidate(&self, mapping: &str) -> usize {
-        self.drop_analysis(mapping);
-        self.cache.invalidate(mapping)
-    }
-
-    fn drop_analysis(&self, mapping: &str) {
         self.analysis.lock().unwrap_or_else(PoisonError::into_inner).remove(mapping);
+        self.cache.invalidate(mapping)
     }
 
     /// Statically analyze one mapping: weak-acyclicity termination verdict
@@ -689,7 +437,10 @@ impl SharedSession {
         &self,
         name: &str,
     ) -> Result<(ContentHash, Arc<AnalysisReport>), CatalogError> {
-        let hash = self.catalog.mapping(name)?.hash;
+        // `link` reads the entry and its schemas under one guard, so the
+        // hash names exactly the content the report is computed from.
+        let chain = self.catalog.link(name)?;
+        let hash = ContentHash(chain.hash);
         {
             let cache = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some((cached_hash, report)) = cache.get(name) {
@@ -698,9 +449,6 @@ impl SharedSession {
                 }
             }
         }
-        // `link` retries torn reads, so the materialised mapping is
-        // hash-consistent even against concurrent schema edits.
-        let chain = self.catalog.link(name)?;
         let report = Arc::new(mapcomp_analysis::analyze_mapping(&chain.mapping));
         self.analysis
             .lock()
@@ -709,13 +457,13 @@ impl SharedSession {
         Ok((hash, report))
     }
 
-    /// Analyze every mapping in the catalog, in name order (over a graph
-    /// snapshot; mappings racing removal are skipped).
+    /// Analyze every mapping in the catalog, in name order (mappings racing
+    /// removal are skipped).
     pub fn analyze_all(&self) -> Vec<(String, Arc<AnalysisReport>)> {
-        let (_, edges) = self.catalog.graph_snapshot();
-        edges
+        self.catalog
+            .mapping_names()
             .into_iter()
-            .filter_map(|(name, _, _)| {
+            .filter_map(|name| {
                 let report = self.analyze_mapping(&name).ok()?.1;
                 Some((name, report))
             })
@@ -854,20 +602,11 @@ impl SharedSession {
     }
 }
 
-impl Catalog {
-    /// Share this catalog for concurrent sessions: returns a
-    /// [`SharedSession`] whose parallel batch API fans requests across
-    /// `workers` scoped threads. See the [`crate::shared`] module docs for
-    /// the concurrency model.
-    pub fn with_workers(self, workers: usize) -> SharedSession {
-        SharedSession::new(self, workers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapcomp_algebra::parse_constraints;
+    use crate::hash::hash_mapping;
+    use mapcomp_algebra::{parse_constraints, parse_document, Mapping};
 
     fn chain_catalog(hops: usize) -> Catalog {
         let mut catalog = Catalog::new();
@@ -890,7 +629,7 @@ mod tests {
     #[test]
     fn shared_catalog_round_trips_through_snapshot() {
         let catalog = chain_catalog(4);
-        let shared = SharedCatalog::from_catalog(&catalog, 4);
+        let shared = SharedCatalog::new(catalog.clone());
         assert_eq!(shared.schema_count(), 5);
         assert_eq!(shared.mapping_count(), 4);
         assert_eq!(shared.mapping("m2").unwrap().hash, catalog.mapping("m2").unwrap().hash);
@@ -900,33 +639,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_resolution_matches_single_threaded() {
-        let catalog = chain_catalog(5);
-        let shared = SharedCatalog::from_catalog(&catalog, 3);
-        assert_eq!(
-            shared.resolve_path("v0", "v5").unwrap(),
-            crate::graph::resolve_path(&catalog, "v0", "v5").unwrap()
-        );
-        assert!(matches!(shared.resolve_path("v5", "v0"), Err(CatalogError::NoPath { .. })));
-        assert!(matches!(shared.resolve_path("v1", "v1"), Err(CatalogError::EmptyPath { .. })));
-    }
-
-    #[test]
-    fn shared_schema_update_rehashes_across_shards() {
-        let catalog = chain_catalog(3);
-        let shared = SharedCatalog::from_catalog(&catalog, 4);
-        let before = shared.mapping("m1").unwrap().hash;
-        let (version, touched) =
-            shared.add_schema("v2", Signature::from_arities([("R2", 1), ("Extra", 2)]));
-        assert_eq!(version, 2);
-        assert_eq!(touched, vec!["m1".to_string(), "m2".to_string()]);
-        assert_ne!(shared.mapping("m1").unwrap().hash, before);
-        assert_eq!(shared.mapping("m1").unwrap().version, 2);
-    }
-
-    #[test]
     fn shared_session_composes_and_invalidates_like_a_plain_one() {
-        let session = chain_catalog(5).with_workers(2);
+        let session = SharedSession::new(chain_catalog(5), 2);
         let cold = session.compose_path("v0", "v5").unwrap();
         assert_eq!(cold.compose_calls, 4);
         let warm = session.compose_path("v0", "v5").unwrap();
@@ -948,7 +662,7 @@ mod tests {
 
     #[test]
     fn parallel_batch_returns_results_in_request_order() {
-        let session = chain_catalog(6).with_workers(4);
+        let session = SharedSession::new(chain_catalog(6), 4);
         let mut requests = Vec::new();
         for i in 0..6 {
             for j in (i + 1)..=6 {
@@ -983,9 +697,9 @@ mod tests {
             .flat_map(|i| ((i + 1)..=5).map(move |j| (format!("v{i}"), format!("v{j}"))))
             .chain([("v9".to_string(), "v0".to_string())])
             .collect();
-        let parallel = chain_catalog(5).with_workers(4);
+        let parallel = SharedSession::new(chain_catalog(5), 4);
         let parallel_results = parallel.compose_batch_parallel(&requests);
-        let sequential = chain_catalog(5).with_workers(1);
+        let sequential = SharedSession::new(chain_catalog(5), 1);
         let sequential_results = sequential.compose_batch_parallel(&requests);
         assert_eq!(parallel_results.len(), sequential_results.len());
         for (index, (p, s)) in parallel_results.iter().zip(&sequential_results).enumerate() {
@@ -1011,7 +725,7 @@ mod tests {
 
     #[test]
     fn sequential_batch_requests_share_segments() {
-        let session = chain_catalog(4).with_workers(1);
+        let session = SharedSession::new(chain_catalog(4), 1);
         let results = session.compose_batch_parallel(&[
             ("v0".to_string(), "v3".to_string()),
             ("v0".to_string(), "v4".to_string()),
@@ -1026,7 +740,7 @@ mod tests {
 
     #[test]
     fn identical_reregistration_keeps_the_cache_warm() {
-        let session = chain_catalog(3).with_workers(1);
+        let session = SharedSession::new(chain_catalog(3), 1);
         session.compose_path("v0", "v3").unwrap();
         // Re-adding the same mapping content must not invalidate anything.
         session.add_mapping("m1", "v1", "v2", parse_constraints("R1 <= R2").unwrap()).unwrap();
@@ -1036,7 +750,7 @@ mod tests {
 
     #[test]
     fn schema_update_invalidates_through_touching_mappings() {
-        let session = chain_catalog(3).with_workers(1);
+        let session = SharedSession::new(chain_catalog(3), 1);
         session.compose_path("v0", "v3").unwrap();
         // Growing v2 changes m1 and m2's content hashes.
         session.add_schema("v2", Signature::from_arities([("R2", 1), ("Extra", 2)]));
@@ -1068,7 +782,7 @@ mod tests {
         // A capacity-bounded session restoring a larger persisted cache must
         // not count the replay trim as workload evictions — however many
         // restore cycles happen in one process.
-        let donor = chain_catalog(6).with_workers(1);
+        let donor = SharedSession::new(chain_catalog(6), 1);
         donor.compose_path("v0", "v6").unwrap();
         let (catalog, persisted_cache) = donor.into_parts();
         let persisted = persisted_cache.stats();
@@ -1111,7 +825,7 @@ mod tests {
             )
             .unwrap();
 
-        let by_hops = catalog.clone().with_workers(1);
+        let by_hops = SharedSession::new(catalog.clone(), 1);
         let short = by_hops.compose_path("v0", "v3").unwrap();
         assert_eq!(short.chain.path, vec!["heavy1", "heavy2"]);
 
@@ -1124,7 +838,7 @@ mod tests {
 
     #[test]
     fn remove_mapping_breaks_the_path() {
-        let session = chain_catalog(3).with_workers(1);
+        let session = SharedSession::new(chain_catalog(3), 1);
         session.compose_path("v0", "v3").unwrap();
         session.remove_mapping("m1").unwrap();
         assert!(matches!(session.compose_path("v0", "v3"), Err(CatalogError::NoPath { .. })));
@@ -1132,7 +846,7 @@ mod tests {
 
     #[test]
     fn concurrent_mutation_and_composition_stay_consistent() {
-        let session = chain_catalog(6).with_workers(4);
+        let session = SharedSession::new(chain_catalog(6), 4);
         let session = &session;
         std::thread::scope(|scope| {
             for worker in 0..4usize {
@@ -1165,11 +879,120 @@ mod tests {
             }
         });
         let (catalog, cache) = {
-            let session = chain_catalog(6).with_workers(1);
+            let session = SharedSession::new(chain_catalog(6), 1);
             session.compose_path("v0", "v6").unwrap();
             session.into_parts()
         };
         assert_eq!(catalog.mapping_count(), 6);
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn ingesting_a_schema_edit_drops_the_rehashed_mappings_analysis() {
+        let session = SharedSession::new(chain_catalog(3), 1);
+        session.analyze_mapping("m1").unwrap();
+        let document = parse_document("schema v2 { R2/1; Extra/2; }").unwrap();
+        assert_eq!(session.ingest_document(&document).unwrap(), vec!["m1", "m2"]);
+        let analyzed = |name: &str| session.analysis.lock().unwrap().contains_key(name);
+        assert!(!analyzed("m1"), "the rehashed mapping's report must be dropped");
+        // A document failing midway still invalidates what it applied first.
+        session.analyze_mapping("m1").unwrap();
+        let text = "schema v2 { R2/1; } mapping bad : v2 -> nowhere { R2 <= R2; }";
+        assert!(session.ingest_document(&parse_document(text).unwrap()).is_err());
+        assert!(!analyzed("m1"), "the change applied before the error must be invalidated");
+    }
+
+    #[test]
+    fn links_hash_their_own_content_while_schemas_change_underneath() {
+        let session = SharedSession::new(chain_catalog(2), 4);
+        let wide = Signature::from_arities([("R1", 1), ("Extra", 2)]);
+        let narrow = Signature::from_arities([("R1", 1)]);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for round in 0..200 {
+                    let signature = if round % 2 == 0 { &wide } else { &narrow };
+                    session.add_schema("v1", signature.clone());
+                }
+            });
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    start.wait();
+                    for round in 0..200 {
+                        let name = format!("m{}", round % 2);
+                        let chain = session.compose_names(&[name]).unwrap().chain;
+                        let Mapping { input, output, constraints } = &chain.mapping;
+                        assert_eq!(chain.hash, hash_mapping(input, output, constraints).0);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn mixed_mutations_and_reads_never_deadlock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let catalog = chain_catalog(4);
+        let session = Arc::new(SharedSession::new(catalog.clone(), 4));
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let (done, finished) = mpsc::channel();
+        let mut workers = Vec::new();
+        for thread in 0..4usize {
+            let (session, catalog, done) = (Arc::clone(&session), catalog.clone(), done.clone());
+            let start = Arc::clone(&start);
+            workers.push(std::thread::spawn(move || {
+                start.wait();
+                for round in 0..40usize {
+                    let i = (thread + round) % 4;
+                    let copy = || parse_constraints(&format!("R{i} <= R{}", i + 1)).unwrap();
+                    match (thread * 3 + round) % 8 {
+                        0 => {
+                            let text = format!(
+                                "schema v{i} {{ R{i}/1; X{round}/1; }} \
+                                 mapping m{i} : v{i} -> v{} {{ R{i} <= R{}; }}",
+                                i + 1,
+                                i + 1
+                            );
+                            session.ingest_document(&parse_document(&text).unwrap()).unwrap();
+                        }
+                        1 => {
+                            session.add_schema(
+                                format!("v{i}"),
+                                Signature::from_arities([(format!("R{i}"), 1)]),
+                            );
+                        }
+                        2 => {
+                            let _ = session.update_mapping(&format!("m{i}"), copy());
+                        }
+                        3 => {
+                            let _ = session.remove_mapping(&format!("m{i}"));
+                        }
+                        4 => session.restore_catalog(&catalog),
+                        5 => {
+                            let _ = session.compose_path("v0", "v4");
+                        }
+                        6 => {
+                            session.analyze_all();
+                        }
+                        _ => {
+                            session.catalog().snapshot();
+                        }
+                    }
+                }
+                done.send(thread).unwrap();
+            }));
+        }
+        drop(done);
+        for _ in 0..4 {
+            // A deadlocked worker fails the test here instead of hanging it.
+            finished
+                .recv_timeout(Duration::from_secs(120))
+                .expect("a worker panicked or deadlocked on the store lock");
+        }
+        for worker in workers {
+            worker.join().unwrap();
+        }
     }
 }

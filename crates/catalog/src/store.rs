@@ -113,19 +113,6 @@ impl Catalog {
         Ok(entry.to_mapping(&source.signature, &target.signature))
     }
 
-    /// Adopt a fully-formed schema entry, preserving its version and hash
-    /// (used when assembling a catalog snapshot from shared-catalog shards).
-    pub(crate) fn insert_schema_entry(&mut self, entry: SchemaEntry) {
-        self.schemas.insert(entry.name.clone(), entry);
-    }
-
-    /// Adopt a fully-formed mapping entry, preserving version, hash and
-    /// history (used when assembling a catalog snapshot from shared-catalog
-    /// shards).
-    pub(crate) fn insert_mapping_entry(&mut self, entry: MappingEntry) {
-        self.mappings.insert(entry.name.clone(), entry);
-    }
-
     /// Register or update a schema; returns the new version. Updating an
     /// existing schema bumps its version and rehashes every mapping that
     /// touches it (their content includes the schema's signature). The names
@@ -229,6 +216,20 @@ impl Catalog {
     /// content changed). Returns the names of added-or-updated mappings.
     pub fn from_document(&mut self, document: &Document) -> Result<Vec<String>, CatalogError> {
         let mut touched = Vec::new();
+        self.apply_document(document, &mut touched)?;
+        Ok(touched)
+    }
+
+    /// The [`Catalog::from_document`] loop: apply schemas, then mappings,
+    /// pushing onto `touched` every mapping added, edited or rehashed by a
+    /// schema edit, sorted and deduplicated on success. Stops at the first
+    /// failing entry; the entries applied before it stay applied and stay
+    /// recorded in `touched`, so a caller can invalidate them either way.
+    pub(crate) fn apply_document(
+        &mut self,
+        document: &Document,
+        touched: &mut Vec<String>,
+    ) -> Result<(), CatalogError> {
         for (name, signature) in &document.schemas {
             let (_, rehashed) = self.add_schema(name.clone(), signature.clone());
             touched.extend(rehashed);
@@ -243,7 +244,7 @@ impl Catalog {
         }
         touched.sort();
         touched.dedup();
-        Ok(touched)
+        Ok(())
     }
 
     /// Re-apply persisted version counters and hash history (see
